@@ -221,8 +221,21 @@ def _suite_noether(cfg, seed):
     return vf.noether_check(fam, _plan_from(cfg.get("plan"), seed))
 
 
+def _cases(cfg: dict, section: str, default: list) -> list:
+    """The `cases` list of a suite's config section; every case an object."""
+    where = f"config.{section}"
+    node = cfg.get(section, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: must be an object")
+    cases = _get(node, "cases", list, default, where)
+    for i, case in enumerate(cases):
+        if not isinstance(case, dict):
+            raise ConfigError(f"{where}.cases[{i}]: must be an object")
+    return cases
+
+
 def _suite_rescaling(cfg, seed):
-    cases = cfg.get("rescaling", {}).get("cases", _default_rescaling_cases())
+    cases = _cases(cfg, "rescaling", _default_rescaling_cases())
     checks = {}
     for i, case in enumerate(cases, start=1):
         where = f"config.rescaling.cases[{i - 1}]"
@@ -265,7 +278,7 @@ def _suite_ermakov(cfg, seed):
 
 
 def _suite_orbit(cfg, seed):
-    cases = cfg.get("orbit", {}).get("cases", _default_orbit_cases())
+    cases = _cases(cfg, "orbit", _default_orbit_cases())
     checks = {}
     for i, case in enumerate(cases, start=1):
         where = f"config.orbit.cases[{i - 1}]"
@@ -382,8 +395,7 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    cases = cfg.get("orbit", {}).get("cases", _default_orbit_cases())
-    report = _suite_orbit({"orbit": {"cases": cases}}, args.seed)
+    report = _suite_orbit(cfg, args.seed)
     _emit(args, "orbit.json", report.to_json() + "\n")
     return 0 if report.passed else 1
 

@@ -322,9 +322,10 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
 
 
 def drift_series(traj: Trajectory, fi) -> np.ndarray:
-    """I(t_i) along the trajectory for a (t, r, rdot) first integral."""
-    return np.array([fi(float(t), float(r), float(rd))
-                     for t, r, rd in zip(traj.t, traj.r, traj.rdot)])
+    """I(t_i) along the trajectory for a (t, r, rdot) first integral,
+    evaluated once on the sample arrays."""
+    vals = np.asarray(fi(traj.t, traj.r, traj.rdot), dtype=float)
+    return np.broadcast_to(vals, traj.t.shape).copy()
 
 
 def drift_report(traj: Trajectory, fi) -> float:

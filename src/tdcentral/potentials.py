@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -589,9 +590,21 @@ def preset(name: str, **params) -> Preset:
         unknown = set(params) - set(sig.parameters)
         if unknown:
             raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
-    family = builder(**params)
     echo = dict(params)
+    if "interval" in params:
+        params["interval"] = _interval_param(name, params["interval"])
+    family = builder(**params)
     return Preset(name, family, echo, description)
+
+
+def _interval_param(name: str, value) -> tuple:
+    """The validity interval parameter as a (lo, hi) pair of floats."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in value)):
+        raise InvalidParameters(
+            f"{name}: parameter 'interval' must be a pair [lo, hi] of numbers")
+    return float(value[0]), float(value[1])
 
 
 def catalog() -> list[tuple[str, str]]:

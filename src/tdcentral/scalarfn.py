@@ -23,8 +23,12 @@ or invalid base, raises DomainError rather than returning NaN/Inf.
 Definite integration uses an adaptive Gauss-Legendre pair (10 and 21
 nodes per panel, bisection on the worst panel) and raises ToleranceNotMet
 instead of silently returning a bad value.  Antiderivative nodes make
-t -> integral_{t0}^{t} f of a tree; they memoise checkpoint values on a
-fixed grid so repeated evaluations stay cheap and history independent.
+t -> integral_{t0}^{t} f of a tree.  They fill a short table of spectral
+panels outward from t0, each accepted by the same 10/21-node gauge and
+twice as wide as the last where f is smooth, and hold the Chebyshev series
+of the integral on each panel.  A lookup is one Clenshaw pass for a float
+or an ndarray alike, its cost does not grow with |t - t0|, and values do
+not depend on evaluation order.
 
 Expressions serialise to a small s-expression text form (``to_text`` /
 ``parse``) with an exact round trip for canonical trees.
@@ -32,6 +36,7 @@ Expressions serialise to a small s-expression text form (``to_text`` /
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -340,6 +345,10 @@ _GL_HIGH_X, _GL_HIGH_W = np.polynomial.legendre.leggauss(21)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances and work limit of adaptive quadrature: `integrate`
+    bisects at most max_subdivisions times, and an Antiderivative holds at
+    most max_subdivisions panels on each side of t0."""
+
     rtol: float = 1e-12
     atol: float = 1e-13
     max_subdivisions: int = 200
@@ -352,7 +361,8 @@ class QuadratureConfig:
 
 
 def _panel(f: ScalarFn, a: float, b: float):
-    """21-node Gauss-Legendre estimate and |21-node - 10-node| error gauge."""
+    """21-node Gauss-Legendre estimate, |21-node - 10-node| error gauge and
+    the integrand's values at the 21 nodes."""
     h = 0.5 * (b - a)
     m = 0.5 * (a + b)
     hi = f(m + h * _GL_HIGH_X)
@@ -360,7 +370,7 @@ def _panel(f: ScalarFn, a: float, b: float):
     val = h * float(_GL_HIGH_W @ hi)
     lo = f(m + h * _GL_LOW_X)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), _GL_LOW_X.shape)
-    return val, abs(val - h * float(_GL_LOW_W @ lo))
+    return val, abs(val - h * float(_GL_LOW_W @ lo)), hi
 
 
 def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
@@ -380,7 +390,7 @@ def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = No
     if b < a:
         a, b = b, a
         sign = -1.0
-    val, err = _panel(f, a, b)
+    val, err, _ = _panel(f, a, b)
     panels = [(err, a, b, val)]
     for _ in range(cfg.max_subdivisions):
         total = math.fsum(p[3] for p in panels)
@@ -390,8 +400,8 @@ def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = No
         panels.sort(key=lambda p: p[0])
         _, x0, x1, _ = panels.pop()
         xm = 0.5 * (x0 + x1)
-        vl, el = _panel(f, x0, xm)
-        vr, er = _panel(f, xm, x1)
+        vl, el, _ = _panel(f, x0, xm)
+        vr, er, _ = _panel(f, xm, x1)
         panels.append((el, x0, xm, vl))
         panels.append((er, xm, x1, vr))
     total = math.fsum(p[3] for p in panels)
@@ -403,63 +413,189 @@ def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = No
         f"{cfg.max_subdivisions} subdivisions (target {max(cfg.atol, cfg.rtol * abs(total)):.3e})")
 
 
+# 21 Gauss-Legendre node values -> Chebyshev coefficients (on [-1, 1]) of the
+# antiderivative of their degree-20 interpolant, vanishing at -1
+_CUMSUM = np.polynomial.chebyshev.chebint(
+    np.linalg.inv(np.polynomial.chebyshev.chebvander(_GL_HIGH_X, 20)), lbnd=-1)
+_FIRST_WIDTH = 0.25     # width of the first panel on each side of t0
+_MIN_WIDTH = 1e-12      # width floor, relative to max(1, |panel edge|)
+
+
+def _clenshaw(c, x):
+    """sum_k c[k] T_k(x): c[k] are floats for a float x, or arrays shaped like x."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for ck in c[:0:-1]:
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+class _Front:
+    """One side of a panel table: where it ends and how it continues."""
+
+    def __init__(self, direction: float, t0: float):
+        self.direction = direction
+        self.edge = t0          # far edge of the last accepted panel
+        self.value = 0.0        # integral from t0 to edge
+        self.width = _FIRST_WIDTH
+        self.panels = 0
+        self.block = None       # (end, message) of the nearest panel beyond
+                                # edge on which the integrand raised DomainError
+        self.failure = None     # (exception type, message) that ended the fill
+
+
+class _PanelTable:
+    """Spectral panels of t -> integral_{t0}^{t} f, filled outward from t0.
+
+    Each panel holds the Chebyshev coefficients of the antiderivative of
+    f's 21-node Gauss-Legendre interpolant, offset so that it continues the
+    accumulated value at the panel's edge nearer t0.  A panel is accepted
+    when the 10/21-node gauge meets the quadrature tolerance; a rejected
+    panel, or one on which f raises DomainError, is halved, and after an
+    accept the next panel tries double the width.  The sequence of panels
+    depends only on f, t0 and the tolerances, so values do not depend on
+    evaluation order.
+
+    A side stops for good when a panel would fall below the width floor or
+    when it already holds cfg.max_subdivisions panels.  If the integrand
+    raised DomainError on a panel reaching past the last edge (a profile
+    zero ahead), that DomainError is raised, otherwise ToleranceNotMet;
+    every later request beyond the last edge raises the same.
+    """
+
+    def __init__(self, f: ScalarFn, t0: float, cfg: QuadratureConfig):
+        self.f = f
+        self.t0 = t0
+        self.cfg = cfg
+        self.fronts = (_Front(-1.0, t0), _Front(1.0, t0))
+        self.edges = [t0]       # sorted panel boundaries
+        self.rows = []          # antiderivative coefficients, panel by panel
+        self._arrays = None
+
+    def cover(self, lo: float, hi: float) -> None:
+        left, right = self.fronts
+        while left.edge > lo:
+            self._extend(left)
+        while right.edge < hi:
+            self._extend(right)
+
+    def _extend(self, front: _Front) -> None:
+        if front.failure is None:
+            try:
+                self._add_panel(front)
+                return
+            except (DomainError, ToleranceNotMet) as e:
+                front.failure = (type(e), str(e))
+        kind, message = front.failure
+        raise kind(message)
+
+    def _add_panel(self, front: _Front) -> None:
+        a, w, d = front.edge, front.width, front.direction
+        if front.panels >= self.cfg.max_subdivisions:
+            self._raise_blocked(front)
+            raise ToleranceNotMet(f"antiderivative from t0={self.t0!r} needs "
+                                  f"more than {front.panels} panels to pass {a!r}")
+        floor = _MIN_WIDTH * max(1.0, abs(a))
+        while True:
+            b = a + d * w
+            lo, hi = min(a, b), max(a, b)
+            try:
+                val, err, fvals = _panel(self.f, lo, hi)
+            except DomainError as e:
+                if front.block is None or d * (b - front.block[0]) < 0.0:
+                    front.block = (b, str(e))
+            else:
+                target = max(self.cfg.atol, self.cfg.rtol * abs(val))
+                if err <= target:
+                    break
+            w *= 0.5
+            if w < floor:
+                self._raise_blocked(front)
+                raise ToleranceNotMet(f"antiderivative panel [{lo!r}, {hi!r}]: "
+                                      f"error {err:.3e} above target "
+                                      f"{target:.3e} at the width floor")
+        half = 0.5 * (hi - lo)
+        row = half * (_CUMSUM @ fvals)
+        whole = float(row.sum())  # integral over the panel, as T_k(1) = 1
+        if d > 0:
+            row[0] += front.value
+            front.value += whole
+            self.edges.append(hi)
+            self.rows.append(row.tolist())
+        else:
+            row[0] += front.value - whole
+            front.value -= whole
+            self.edges.insert(0, lo)
+            self.rows.insert(0, row.tolist())
+        self._arrays = None
+        front.edge = b
+        front.width = 2.0 * w
+        front.panels += 1
+        if front.block is not None and d * (b - front.block[0]) >= 0.0:
+            front.block = None
+
+    @staticmethod
+    def _raise_blocked(front: _Front) -> None:
+        if front.block is not None:
+            raise DomainError(front.block[1])
+
+    def value(self, t: float) -> float:
+        i = min(max(bisect.bisect_right(self.edges, t) - 1, 0), len(self.rows) - 1)
+        lo, hi = self.edges[i], self.edges[i + 1]
+        return _clenshaw(self.rows[i], (t - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        if self._arrays is None:
+            self._arrays = (np.array(self.edges), np.array(self.rows))
+        edges, rows = self._arrays
+        i = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(rows) - 1)
+        lo, hi = edges[i], edges[i + 1]
+        return _clenshaw(np.moveaxis(rows[i], -1, 0),
+                         (t - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
+
+
 @dataclass(frozen=True, eq=False)
 class Antiderivative(ScalarFn):
-    """t -> integral of `integrand` from t0 to t, via adaptive quadrature.
+    """t -> integral of `integrand` from t0 to t.
 
-    Values at checkpoints t0 + k*spacing are memoised, so an evaluation
-    only ever integrates over at most one spacing-sized gap and repeated
-    calls do not depend on evaluation order (history independence: the
-    checkpoint table is filled outward from t0 by fixed-span quads).
+    The integral is represented by adaptive spectral panels filled outward
+    from t0 on first need (see _PanelTable): an evaluation finds each
+    point's panel and sums that panel's Chebyshev series by one Clenshaw
+    pass, for a float and an ndarray alike.  The panel widths grow
+    geometrically where the integrand is smooth, so the cost of reaching
+    |t - t0| grows with the number of panels, not with |t - t0|.  F(t0) is
+    exactly 0.  A DomainError or ToleranceNotMet that stops the fill before
+    t is raised again for every later t beyond that point.
     """
 
     integrand: ScalarFn
     t0: float = 0.0
     cfg: QuadratureConfig = QuadratureConfig()
-    spacing: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "_ckpt", {0: 0.0})
-
-    def _checkpoint(self, k: int) -> float:
-        tab = self._ckpt
-        if k in tab:
-            return tab[k]
-        step = 1 if k > 0 else -1
-        # find nearest filled checkpoint toward 0 and extend from it
-        j = k
-        while j not in tab:
-            j -= step
-        acc = tab[j]
-        while j != k:
-            a = self.t0 + j * self.spacing
-            j += step
-            b = self.t0 + j * self.spacing
-            acc += integrate(self.integrand, a, b, self.cfg)
-            tab[j] = acc
-        return acc
-
-    def _eval_scalar(self, t: float) -> float:
-        x = (t - self.t0) / self.spacing
-        k = math.floor(x) if x >= 0 else math.ceil(x)  # toward zero
-        base = self._checkpoint(k)
-        a = self.t0 + k * self.spacing
-        if a == t:
-            return base
-        return base + integrate(self.integrand, a, t, self.cfg)
+        object.__setattr__(self, "_table", _PanelTable(self.integrand, self.t0, self.cfg))
 
     def _eval(self, t):
+        tab = self._table
         if isinstance(t, float):
-            return self._eval_scalar(t)
-        flat = np.asarray(t, dtype=float).reshape(-1)
-        out = np.array([self._eval_scalar(float(x)) for x in flat])
-        return out.reshape(np.shape(t))
+            if not math.isfinite(t):
+                raise DomainError(f"non-finite argument {t!r} for {self!r}")
+            tab.cover(t, t)
+            return 0.0 if t == self.t0 else tab.value(t)
+        if not t.size:
+            return np.zeros(t.shape)
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"non-finite argument for {self!r}")
+        tab.cover(float(t.min()), float(t.max()))
+        if not tab.rows:
+            return np.zeros(t.shape)
+        return np.where(t == self.t0, 0.0, tab.values(t))
 
     def _diff(self):
         return self.integrand
 
     def _signature(self):
-        return (self.t0, self.spacing)
+        return (self.t0,)
 
     def _children(self):
         return (self.integrand,)
@@ -621,14 +757,12 @@ def compose(outer, inner) -> ScalarFn:
 
 
 def antiderivative(integrand, t0: float = 0.0,
-                   cfg: QuadratureConfig | None = None,
-                   spacing: float = 0.25) -> ScalarFn:
+                   cfg: QuadratureConfig | None = None) -> ScalarFn:
     integrand = as_fn(integrand)
     if isinstance(integrand, Const) and integrand.value == 0.0:
         return Const(0.0)
     return Antiderivative(integrand, float(t0),
-                          cfg if cfg is not None else QuadratureConfig(),
-                          float(spacing))
+                          cfg if cfg is not None else QuadratureConfig())
 
 
 def deriv(f: ScalarFn, order: int, t):

@@ -120,25 +120,20 @@ def pde_residuals(fam, plan: SamplingPlan | None = None,
     an inconsistency in the derivative trees.
     """
     plan = plan or SamplingPlan()
-    ts, rs, _ = plan.samples()
-    r1 = np.empty(plan.count)
-    r2 = np.empty(plan.count)
-    r3 = np.empty(plan.count)
-    for i in range(plan.count):
-        t, r = float(ts[i]), float(rs[i])
-        g1 = fam.g1(t)
-        g1d = fam.g1_d(t)
-        g1dd = fam.g1_dd(t)
-        g1ddd = fam.g1_ddd(t)
-        g2 = fam.g2(t)
-        g2d = fam.g2_d(t)
-        g2dd = fam.g2_dd(t)
-        ur = fam.dU_dr(t, r)
-        r1[i] = fam.dK_dr(t, r) - 2.0 * g1 * ur - g1dd * r + g2d
-        r2[i] = fam.dK_dt(t, r) - (g2 - g1d * r) * ur
-        r3[i] = ((g1d * r - g2) * fam.d2U_dr2(t, r)
-                 + 2.0 * g1 * fam.d2U_dtdr(t, r) + 3.0 * g1d * ur
-                 + g1ddd * r - g2dd)
+    t, r, _ = plan.samples()
+    g1 = fam.g1(t)
+    g1d = fam.g1_d(t)
+    g1dd = fam.g1_dd(t)
+    g1ddd = fam.g1_ddd(t)
+    g2 = fam.g2(t)
+    g2d = fam.g2_d(t)
+    g2dd = fam.g2_dd(t)
+    ur = fam.dU_dr(t, r)
+    r1 = fam.dK_dr(t, r) - 2.0 * g1 * ur - g1dd * r + g2d
+    r2 = fam.dK_dt(t, r) - (g2 - g1d * r) * ur
+    r3 = ((g1d * r - g2) * fam.d2U_dr2(t, r)
+          + 2.0 * g1 * fam.d2U_dtdr(t, r) + 3.0 * g1d * ur
+          + g1ddd * r - g2dd)
     return VerificationReport({
         "pde-r1": _check(r1, tol),
         "pde-r2": _check(r2, tol),
@@ -156,23 +151,19 @@ def noether_check(fam, plan: SamplingPlan | None = None,
                              - f_t - rdot f_r
     """
     plan = plan or SamplingPlan()
-    ts, rs, rds = plan.samples()
-    cfg_res = np.empty(plan.count)
-    vel_res = np.empty(plan.count)
-    for i in range(plan.count):
-        t, r, rd = float(ts[i]), float(rs[i]), float(rds[i])
-        g1 = fam.g1(t)
-        g1d = fam.g1_d(t)
-        g1dd = fam.g1_dd(t)
-        g2 = fam.g2(t)
-        g2d = fam.g2_d(t)
-        eta1 = -2.0 * g1 * rd + g1d * r - g2
-        deta1_dt = -2.0 * g1d * rd + g1dd * r - g2d
-        df_dt = -g1d * rd * rd + fam.dK_dt(t, r)
-        df_dr = fam.dK_dr(t, r)
-        vel_res[i] = (-2.0 * g1) * rd - (-2.0 * g1 * rd)
-        cfg_res[i] = (eta1 * (-fam.dU_dr(t, r)) + (deta1_dt + rd * g1d) * rd
-                   - df_dt - rd * df_dr)
+    t, r, rd = plan.samples()
+    g1 = fam.g1(t)
+    g1d = fam.g1_d(t)
+    g1dd = fam.g1_dd(t)
+    g2 = fam.g2(t)
+    g2d = fam.g2_d(t)
+    eta1 = -2.0 * g1 * rd + g1d * r - g2
+    deta1_dt = -2.0 * g1d * rd + g1dd * r - g2d
+    df_dt = -g1d * rd * rd + fam.dK_dt(t, r)
+    df_dr = fam.dK_dr(t, r)
+    vel_res = (-2.0 * g1) * rd - (-2.0 * g1 * rd)
+    cfg_res = (eta1 * (-fam.dU_dr(t, r)) + (deta1_dt + rd * g1d) * rd
+               - df_dt - rd * df_dr)
     return VerificationReport({
         "noether-config": _check(cfg_res, tol_config),
         "noether-velocity": _check(vel_res, tol_velocity),
@@ -249,8 +240,8 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
     leaves sigma undetermined there and raises BranchAmbiguity.
     """
     phi = as_fn(phi)
-    pv = np.array([phi(float(t)) for t in traj.t])
-    pd = np.array([phi.d()(float(t)) for t in traj.t])
+    pv = np.broadcast_to(np.asarray(phi(traj.t), dtype=float), traj.t.shape)
+    pd = np.broadcast_to(np.asarray(phi.d()(traj.t), dtype=float), traj.t.shape)
     B = pv * traj.rdot - pd * traj.r
     I0 = 0.5 * B[0] ** 2 - k * pv[0] / traj.r[0]
     if L3 == 0.0:
@@ -292,11 +283,8 @@ def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState, t_end: float,
     """
     traj = dyn.integrate(fam, s0, t_end, cfg)
     ts = np.linspace(min(s0.t, t_end), max(s0.t, t_end), 41)
-    res1 = np.empty(ts.size)
-    res2 = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        res1[i], res2[i] = ermakov_residuals(
-            fam.rho, fam.alpha, fam.Omega, fam.F1, fam.k, float(t))
+    res1, res2 = ermakov_residuals(fam.rho, fam.alpha, fam.Omega, fam.F1,
+                                   fam.k, ts)
     drift = dyn.drift_report(traj, fam.fi)
     literal = dyn.drift_report(traj, fam.fi_profile_rate)
     return VerificationReport({

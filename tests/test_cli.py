@@ -25,6 +25,33 @@ def oscillator_config(**extra):
     return cfg
 
 
+class TestConfigKeysNamed:
+    """Malformed values exit 2 with the offending key on stderr."""
+
+    @pytest.mark.parametrize("argv,section", [
+        (["verify", "--suite", "rescaling"], "rescaling"),
+        (["verify", "--suite", "orbit"], "orbit"),
+        (["orbit"], "orbit"),
+    ])
+    def test_non_object_case(self, tmp_path, capsys, argv, section):
+        path = write_config(tmp_path, {section: {"cases": [1]}})
+        assert main([*argv, "--config", path]) == 2
+        assert f"config.{section}.cases[0]" in capsys.readouterr().err
+
+    def test_non_list_cases(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"orbit": {"cases": 3}})
+        assert main(["verify", "--suite", "orbit", "--config", path]) == 2
+        assert "config.orbit: key 'cases'" in capsys.readouterr().err
+
+    def test_preset_interval_not_a_pair(self, tmp_path, capsys):
+        cfg = oscillator_config()
+        cfg["family"]["params"]["interval"] = 5
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config.family" in err and "'interval'" in err
+
+
 class TestListPresets:
     def test_text_catalog(self, capsys):
         assert main(["list-presets"]) == 0

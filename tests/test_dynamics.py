@@ -14,6 +14,8 @@ from tdcentral import scalarfn as sf
 from tdcentral.dynamics import IntegratorConfig, PolarState, RadialState
 from tdcentral.errors import DomainError, StepLimitExceeded
 from tdcentral.potentials import FamilyA, FamilyB
+from tdcentral.verify import PerturbedPotential
+from test_acceptance import _families as acceptance_families
 
 U = sf.T
 
@@ -206,6 +208,26 @@ class TestDriftReport:
         traj = dyn.integrate(fam, PolarState(0.0, 1.2, 0.1), 1.0)
         series = dyn.drift_series(traj, fi.first_integral(fam))
         assert series.shape == traj.t.shape
+
+
+def drift_fixtures():
+    """The six acceptance fixtures plus the perturbed negative control."""
+    fams = acceptance_families()
+    _, osc, s0 = fams[2]
+    fams.append(("perturbed", PerturbedPotential(osc, eps=1e-3), s0))
+    return fams
+
+
+class TestDriftSeriesVectorised:
+    @pytest.mark.parametrize("name,fam,s0", drift_fixtures())
+    def test_matches_scalar_loop(self, name, fam, s0):
+        traj = dyn.integrate(fam, s0, 2.0)
+        inv = fi.first_integral(fam)
+        ref = np.array([inv(float(t), float(r), float(rd))
+                        for t, r, rd in zip(traj.t, traj.r, traj.rdot)])
+        got = dyn.drift_series(traj, inv)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
 
 class TestCsv:

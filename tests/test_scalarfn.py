@@ -218,6 +218,77 @@ class TestAntiderivative:
     def test_base_point(self):
         F = sf.antiderivative(sf.exp(sf.T), -0.5)
         assert F(-0.5) == 0.0
+        assert F(np.array([-0.5, 0.5, -0.5]))[[0, 2]].tolist() == [0.0, 0.0]
+
+
+def cross_integrand():
+    """0.5 g1^{-3/2} g2 of the cross-profile family (g1 = 1 + t^2/4, g2 = 0.3 + 0.1 t)."""
+    return sf.mul(0.5, sf.power(sf.poly(1, 0, 0.25), -1.5), sf.poly(0.3, 0.1))
+
+
+class CountingFn(sf.ScalarFn):
+    """Wraps a tree and counts its evaluations."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def _eval(self, t):
+        self.calls += 1
+        return self.f._eval(t)
+
+
+class TestSpectralPanels:
+    def test_array_equals_scalar_elementwise(self):
+        F = sf.antiderivative(cross_integrand(), 0.0)
+        ts = np.concatenate([np.linspace(-1000.0, 1000.0, 401), [0.0, 1e-9, -0.25]])
+        vals = F(ts)
+        assert vals.shape == ts.shape
+        assert [F(float(t)) for t in ts] == vals.tolist()
+        grid = ts[:400].reshape(20, 20)
+        assert np.array_equal(F(grid), vals[:400].reshape(20, 20))
+
+    @pytest.mark.parametrize("t", [1000.0, -1000.0])
+    def test_far_values_match_direct_quadrature(self, t):
+        f = cross_integrand()
+        direct = sf.integrate(f, 0.0, t)
+        assert sf.antiderivative(f, 0.0)(t) == pytest.approx(direct, rel=1e-12)
+
+    def test_history_independence_far_point_first(self):
+        f = cross_integrand()
+        a = sf.antiderivative(f, 0.0)
+        b = sf.antiderivative(f, 0.0)
+        far_first = [a(1000.0), a(0.3), a(-2.5)]
+        near_first = [b(0.3), b(-2.5), b(1000.0)]
+        assert far_first == [near_first[2], near_first[0], near_first[1]]
+
+    def test_profile_zero_ahead(self):
+        # g1 = 1 - 0.1 t vanishes at t = 10, where the integrand blows up
+        f = sf.mul(0.5, sf.power(sf.poly(1, -0.1), -1.5), sf.poly(0.3, 0.1))
+        F = sf.antiderivative(f, 0.0)
+        assert F(9.9) == pytest.approx(sf.integrate(f, 0.0, 9.9), rel=1e-12)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                F(10.5)
+        assert F(-3.0) == pytest.approx(sf.integrate(f, 0.0, -3.0), rel=1e-12)
+
+    def test_fill_is_bounded(self):
+        f = CountingFn(cross_integrand())
+        F = sf.antiderivative(f, 0.0)
+        F(np.array([-1000.0, 1000.0]))
+        attempts = f.calls // 2  # each panel attempt evaluates f twice
+        assert attempts <= 64
+        calls = f.calls
+        F(np.linspace(-1000.0, 1000.0, 501))
+        F(999.5)
+        assert f.calls == calls  # lookups inside the filled span evaluate no f
+
+    def test_non_finite_argument(self):
+        F = sf.antiderivative(cross_integrand(), 0.0)
+        with pytest.raises(DomainError):
+            F(math.inf)
+        with pytest.raises(DomainError):
+            F(np.array([0.5, math.nan]))
 
 
 class TestTextForm:

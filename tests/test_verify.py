@@ -12,6 +12,7 @@ from tdcentral import potentials as pot
 from tdcentral import verify as vf
 from tdcentral.errors import BranchAmbiguity
 from tdcentral.potentials import FamilyA, FamilyB, LewisLeach1d
+from test_acceptance import _families as acceptance_families
 
 
 def fam_linear():
@@ -296,3 +297,65 @@ class TestVerificationReport:
         good = vf.pde_residuals(fam, PLAN)
         bad = vf.pde_residuals(vf.PerturbedPotential(fam, eps=1e-3), PLAN)
         assert not good.merged(bad).passed
+
+
+def pde_reference(fam, plan):
+    """Per-sample scalar loop of the three defining-condition residuals."""
+    ts, rs, _ = plan.samples()
+    res = np.empty((3, plan.count))
+    for i in range(plan.count):
+        t, r = float(ts[i]), float(rs[i])
+        g1, g1d, g1dd, g1ddd = fam.g1(t), fam.g1_d(t), fam.g1_dd(t), fam.g1_ddd(t)
+        g2, g2d, g2dd = fam.g2(t), fam.g2_d(t), fam.g2_dd(t)
+        ur = fam.dU_dr(t, r)
+        res[0, i] = fam.dK_dr(t, r) - 2.0 * g1 * ur - g1dd * r + g2d
+        res[1, i] = fam.dK_dt(t, r) - (g2 - g1d * r) * ur
+        res[2, i] = ((g1d * r - g2) * fam.d2U_dr2(t, r)
+                     + 2.0 * g1 * fam.d2U_dtdr(t, r) + 3.0 * g1d * ur
+                     + g1ddd * r - g2dd)
+    return dict(zip(("pde-r1", "pde-r2", "pde-r3"), np.max(np.abs(res), axis=1)))
+
+
+def noether_reference(fam, plan):
+    """Per-sample scalar loop of the gauged Noether conditions."""
+    ts, rs, rds = plan.samples()
+    res = np.empty((2, plan.count))
+    for i in range(plan.count):
+        t, r, rd = float(ts[i]), float(rs[i]), float(rds[i])
+        g1, g1d, g1dd = fam.g1(t), fam.g1_d(t), fam.g1_dd(t)
+        g2, g2d = fam.g2(t), fam.g2_d(t)
+        eta1 = -2.0 * g1 * rd + g1d * r - g2
+        deta1_dt = -2.0 * g1d * rd + g1dd * r - g2d
+        df_dt = -g1d * rd * rd + fam.dK_dt(t, r)
+        df_dr = fam.dK_dr(t, r)
+        res[0, i] = (eta1 * (-fam.dU_dr(t, r)) + (deta1_dt + rd * g1d) * rd
+                     - df_dt - rd * df_dr)
+        res[1, i] = (-2.0 * g1) * rd - (-2.0 * g1 * rd)
+    return dict(zip(("noether-config", "noether-velocity"),
+                    np.max(np.abs(res), axis=1)))
+
+
+def sweep_families():
+    """The six acceptance fixtures plus the perturbed negative control."""
+    fams = [(name, fam) for name, fam, _ in acceptance_families()]
+    fams.append(("perturbed", vf.PerturbedPotential(fams[2][1], eps=1e-3)))
+    return fams
+
+
+class TestVectorisedSweeps:
+    """The array-valued sweeps agree with a per-sample scalar loop; the
+    only differences are last-digit ones between libm and numpy ufuncs."""
+
+    PLAN = vf.SamplingPlan(count=300, seed=2026)
+
+    @pytest.mark.parametrize("name,fam", sweep_families())
+    def test_pde_residuals_match_scalar_loop(self, name, fam):
+        report = vf.pde_residuals(fam, self.PLAN)
+        for check, worst in pde_reference(fam, self.PLAN).items():
+            assert abs(report.checks[check].max_residual - worst) <= 1e-14, check
+
+    @pytest.mark.parametrize("name,fam", sweep_families())
+    def test_noether_check_matches_scalar_loop(self, name, fam):
+        report = vf.noether_check(fam, self.PLAN)
+        for check, worst in noether_reference(fam, self.PLAN).items():
+            assert abs(report.checks[check].max_residual - worst) <= 1e-14, check
