@@ -62,6 +62,12 @@ def _get(node: dict, key: str, kind, default=_MISSING, where: str = "config"):
     return value
 
 
+def _numbers(raw: list, count: int) -> bool:
+    """Whether raw holds exactly `count` numbers (bools excluded)."""
+    return len(raw) == count and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+
+
 def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
     """A scalar function given as an expression string or a bare number."""
     value = _get(node, key, object, default, where)
@@ -152,16 +158,16 @@ def _plan_from(node, seed, where: str = "config.plan") -> vf.SamplingPlan:
         raise ConfigError(f"{where}: must be an object")
     def pair(key, default):
         raw = _get(node, key, list, list(default), where)
-        if len(raw) != 2 or not all(isinstance(v, (int, float)) for v in raw):
+        if not _numbers(raw, 2):
             raise ConfigError(f"{where}: key {key!r} must be [lo, hi]")
         return float(raw[0]), float(raw[1])
+    fields = dict(t_range=pair("t_range", (0.0, 3.0)),
+                  r_range=pair("r_range", (0.5, 3.0)),
+                  rdot_range=pair("rdot_range", (-2.0, 2.0)),
+                  count=_get(node, "count", int, 1000, where),
+                  seed=_get(node, "seed", int, seed, where))
     try:
-        return vf.SamplingPlan(
-            t_range=pair("t_range", (0.0, 3.0)),
-            r_range=pair("r_range", (0.5, 3.0)),
-            rdot_range=pair("rdot_range", (-2.0, 2.0)),
-            count=_get(node, "count", int, 1000, where),
-            seed=_get(node, "seed", int, seed, where))
+        return vf.SamplingPlan(**fields)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -221,13 +227,18 @@ def _suite_noether(cfg, seed):
     return vf.noether_check(fam, _plan_from(cfg.get("plan"), seed))
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """A suite's config section: an object, empty when absent."""
+    node = cfg.get(name, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"config.{name}: must be an object")
+    return node
+
+
 def _cases(cfg: dict, section: str, default: list) -> list:
     """The `cases` list of a suite's config section; every case an object."""
     where = f"config.{section}"
-    node = cfg.get(section, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: must be an object")
-    cases = _get(node, "cases", list, default, where)
+    cases = _get(_section(cfg, section), "cases", list, default, where)
     for i, case in enumerate(cases):
         if not isinstance(case, dict):
             raise ConfigError(f"{where}.cases[{i}]: must be an object")
@@ -265,16 +276,14 @@ def _suite_closed_form(cfg, seed):
 
 
 def _suite_ermakov(cfg, seed):
-    spec = cfg.get("ermakov", _default_driven_1d())
+    spec = {**_default_driven_1d(), **_section(cfg, "ermakov")}
     where = "config.ermakov"
-    fam = _family_from(spec.get("system", _default_driven_1d()["system"]),
-                       where + ".system")
+    fam = _family_from(spec["system"], where + ".system")
     if not isinstance(fam, pot.LewisLeach1d):
         raise ConfigError(f"{where}.system: must have kind 'driven-1d'")
-    s0 = _state_from(spec.get("initial", _default_driven_1d()["initial"]),
-                     where + ".initial")
+    s0 = _state_from(spec["initial"], where + ".initial")
     return vf.lewis_leach_report(fam, s0, _get(spec, "t_end", float,
-                                               5.0, where))
+                                               where=where))
 
 
 def _suite_orbit(cfg, seed):
@@ -299,7 +308,7 @@ def _suite_orbit(cfg, seed):
 
 
 def _suite_radial_mode(cfg, seed):
-    spec = cfg.get("radial-mode", {})
+    spec = _section(cfg, "radial-mode")
     where = "config.radial-mode"
     a_values = spec.get("a_values", [0.0, 1.0, 2.0])
     b_values = spec.get("b_values", list(range(6)))
@@ -418,7 +427,8 @@ def cmd_wavefunction(args) -> int:
     grid = _get(cfg, "grid", dict)
     def axis(key):
         raw = _get(grid, key, list, where="config.grid")
-        if len(raw) != 3 or raw[2] < 1:
+        if not (_numbers(raw, 3) and float(raw[2]).is_integer()
+                and raw[2] >= 1):
             raise ConfigError(f"config.grid: key {key!r} must be [lo, hi, count]")
         return np.linspace(float(raw[0]), float(raw[1]), int(raw[2]))
     r_axis, theta_axis, t_axis = axis("r"), axis("theta"), axis("t")
@@ -440,7 +450,7 @@ def cmd_binary(args) -> int:
     where = "config"
     G = _get(cfg, "G", float, 1.0, where)
     braw = _get(cfg, "b", list, [1.0, 0.0, 0.0], where)
-    if len(braw) != 3 or not all(isinstance(v, (int, float)) for v in braw):
+    if not _numbers(braw, 3):
         raise ConfigError("config: key 'b' must be [b0, b1, b2]")
     r0 = _get(cfg, "r0", float, 1.0, where)
     periods = _get(cfg, "periods", float, 10.0, where)
@@ -474,15 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="directory for CSV/JSON artifacts")
     common.add_argument("--seed", type=int, default=0,
                         help="sampling seed (default 0)")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable catalog output")
     parser = argparse.ArgumentParser(
         prog="tdcentral",
         description="Integrable time-dependent central potentials: simulate, "
                     "verify, and evaluate closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list-presets", parents=[common]) \
-        .set_defaults(func=cmd_list_presets)
+    p_list = sub.add_parser("list-presets", parents=[common])
+    p_list.add_argument("--json", action="store_true",
+                        help="machine-readable catalog output")
+    p_list.set_defaults(func=cmd_list_presets)
     sub.add_parser("simulate", parents=[common]).set_defaults(func=cmd_simulate)
     p_verify = sub.add_parser("verify", parents=[common])
     p_verify.add_argument("--suite", default="all",

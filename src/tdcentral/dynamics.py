@@ -12,16 +12,15 @@ terminates the trajectory with a recorded reason instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StepLimitExceeded
 
 __all__ = [
-    "RadialState", "PolarState", "IntegratorConfig", "Trajectory",
-    "CrosscheckResult", "radial_rhs", "integrate", "cartesian_crosscheck",
-    "drift_report", "drift_series", "write_csv",
+    "PolarState", "IntegratorConfig", "Trajectory", "integrate",
+    "cartesian_crosscheck", "drift_report", "drift_series", "write_csv",
 ]
 
 # Dormand-Prince 5(4) tableau (exact rationals)
@@ -54,17 +53,6 @@ _MAX_FACTOR = 10.0
 # PI controller exponents for a 5th-order pair
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
-
-
-@dataclass(frozen=True)
-class RadialState:
-    t: float
-    r: float
-    rdot: float
-
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise DomainError("radial state requires r > 0")
 
 
 @dataclass(frozen=True)
@@ -127,14 +115,6 @@ class CrosscheckResult:
     trajectory: Trajectory
     position_deviation: float
     l3_drift: float
-
-
-def radial_rhs(fam, state: RadialState) -> float:
-    """rddot = L3^2/r^3 - dV/dr (identically -dU/dr for these families)."""
-    c = fam.L3 * fam.L3
-    if c:
-        return c * state.r**-3 - fam.dV_dr(state.t, state.r)
-    return -fam.dU_dr(state.t, state.r)
 
 
 def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
@@ -249,18 +229,11 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
     L3 = fam.L3
     guard = getattr(fam, "radial", True)
 
-    if L3:
-        def rhs(t, y):
-            r = y[0]
-            if r <= 0.0:
-                raise DomainError("r <= 0 during step")
-            return np.array([y[1], -fam.dU_dr(t, r), L3 * r**-2])
-    else:
-        def rhs(t, y):
-            r = y[0]
-            if guard and r <= 0.0:
-                raise DomainError("r <= 0 during step")
-            return np.array([y[1], -fam.dU_dr(t, r), 0.0])
+    def rhs(t, y):
+        r = y[0]
+        if guard and r <= 0.0:
+            raise DomainError("r <= 0 during step")
+        return np.array([y[1], -fam.dU_dr(t, r), L3 * r**-2 if L3 else 0.0])
 
     grid = _sample_grid(s0.t, t_end, cfg.stride)
     y0 = np.array([s0.r, s0.rdot, s0.theta])

@@ -17,14 +17,6 @@ class StepLimitExceeded(RuntimeError):
     """ODE integration exceeded the configured step budget."""
 
 
-class RadiusCollapse(RuntimeError):
-    """Radial coordinate fell below the collapse threshold.
-
-    Integration normally records this as a termination reason instead of
-    raising; the exception exists for callers that require a completed span.
-    """
-
-
 class UnknownPreset(KeyError):
     """Requested preset name is not in the registry."""
 

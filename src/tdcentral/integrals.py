@@ -9,11 +9,11 @@ Each family carries a conserved quantity along its own dynamics:
     scale-oscillator: I = (phi rdot - phi' r)^2/2 + r^2 phi^2 thdot^2/2
                     + K r^2/(2 phi^2)
     1d (Lewis-Leach type): I = [rho(qdot - alpha') - rho'(q - alpha)]^2/2
-                    + (k/2) w^2 + G(w),  w = (q - alpha)/rho
+                    + (k/2) w^2 + G(w),  w = (q - alpha)/rho  (LewisLeach1d.fi)
 
 plus the angular momentum L3 = r^2 thdot and the reduced energy
-rdot^2/2 + U(t,r).  Polar forms take thetadot explicitly; reduced forms
-bind L3 and eliminate thetadot via thetadot = L3/r^2.
+rdot^2/2 + U(t,r).  j_nu and scale_oscillator take thetadot explicitly;
+j_nu_integral binds L3 and evaluates j_nu at thetadot = L3/r^2.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .potentials import FamilyA, FamilyB, LewisLeach1d, omega_profile
+from .potentials import FamilyA, FamilyB, omega_profile
 from .scalarfn import as_fn
 
 __all__ = [
-    "lfi_A", "qfi_B", "j_nu", "j_nu_reduced", "scale_oscillator",
-    "scale_oscillator_reduced", "lewis_leach", "angular_momentum",
+    "lfi_A", "qfi_B", "j_nu", "scale_oscillator", "angular_momentum",
     "reduced_energy", "FirstIntegral", "first_integral",
-    "j_nu_integral", "scale_oscillator_integral", "angular_momentum_integral",
-    "reduced_energy_integral",
+    "j_nu_integral", "angular_momentum_integral", "reduced_energy_integral",
 ]
 
 
@@ -49,7 +47,7 @@ def qfi_B(fam: FamilyB, t, r, rdot):
 
 def j_nu(nu: float, k: float, b0: float, b1: float, b2: float,
          t, r, rdot, thetadot):
-    """Power-law-family invariant, polar form (takes thetadot)."""
+    """Power-law-family invariant."""
     G = b0 + b1 * t + b2 * t * t
     omega = omega_profile(nu, k, b0, b1, b2)(t)
     return (G * (0.5 * (rdot * rdot + r * r * thetadot * thetadot)
@@ -57,18 +55,8 @@ def j_nu(nu: float, k: float, b0: float, b1: float, b2: float,
             - 0.5 * (b1 + 2.0 * b2 * t) * r * rdot + 0.5 * b2 * r * r)
 
 
-def j_nu_reduced(nu: float, k: float, b0: float, b1: float, b2: float,
-                 L3: float, t, r, rdot):
-    """Power-law-family invariant with thetadot eliminated via L3 = r^2 thetadot."""
-    G = b0 + b1 * t + b2 * t * t
-    omega = omega_profile(nu, k, b0, b1, b2)(t)
-    return (G * (0.5 * (rdot * rdot + L3 * L3 * r**-2)
-                 - omega * r ** (-float(nu)))
-            - 0.5 * (b1 + 2.0 * b2 * t) * r * rdot + 0.5 * b2 * r * r)
-
-
 def scale_oscillator(phi, K: float, t, r, rdot, thetadot):
-    """Oscillator invariant built from a scale profile, polar form."""
+    """Oscillator invariant built from a scale profile."""
     phi = as_fn(phi)
     pv = phi(t)
     if (pv == 0.0) if isinstance(pv, float) else bool((pv == 0.0).any()):
@@ -77,23 +65,6 @@ def scale_oscillator(phi, K: float, t, r, rdot, thetadot):
     return (0.5 * (pv * rdot - pd * r) ** 2
             + 0.5 * r * r * pv * pv * thetadot * thetadot
             + 0.5 * K * r * r / (pv * pv))
-
-
-def scale_oscillator_reduced(phi, K: float, L3: float, t, r, rdot):
-    """Oscillator invariant with thetadot eliminated via L3."""
-    phi = as_fn(phi)
-    pv = phi(t)
-    if (pv == 0.0) if isinstance(pv, float) else bool((pv == 0.0).any()):
-        raise DomainError("scale profile vanishes at the requested time")
-    pd = phi.d()(t)
-    return (0.5 * (pv * rdot - pd * r) ** 2
-            + 0.5 * pv * pv * L3 * L3 * r**-2
-            + 0.5 * K * r * r / (pv * pv))
-
-
-def lewis_leach(fam: LewisLeach1d, t, q, qdot):
-    """Invariant of the 1d system (conserved coordinate-rate reading)."""
-    return fam.fi(t, q, qdot)
 
 
 def angular_momentum(r, thetadot):
@@ -124,9 +95,9 @@ class FirstIntegral:
 def first_integral(fam) -> FirstIntegral:
     """The invariant that the family's own dynamics conserves.
 
-    Dispatch is on the `kind` protocol string so that wrappers which
-    delegate the underlying profiles (negative controls) evaluate the base
-    family's candidate invariant along their own dynamics.
+    Dispatch is on the `kind` protocol string so that a wrapper which
+    delegates the underlying profiles (the PerturbedPotential control)
+    evaluates the base family's candidate invariant along its own dynamics.
     """
     kind = getattr(fam, "kind", None)
     if kind == "linear-invariant":
@@ -143,14 +114,7 @@ def first_integral(fam) -> FirstIntegral:
 def j_nu_integral(nu, k, b0, b1, b2, L3) -> FirstIntegral:
     return FirstIntegral(
         "power-law-invariant", f"j_nu(nu={nu})",
-        lambda t, r, rd: j_nu_reduced(nu, k, b0, b1, b2, L3, t, r, rd))
-
-
-def scale_oscillator_integral(phi, K, L3) -> FirstIntegral:
-    phi = as_fn(phi)
-    return FirstIntegral(
-        "scale-oscillator-invariant", "scale-oscillator",
-        lambda t, r, rd: scale_oscillator_reduced(phi, K, L3, t, r, rd))
+        lambda t, r, rd: j_nu(nu, k, b0, b1, b2, t, r, rd, L3 / r**2))
 
 
 def angular_momentum_integral() -> FirstIntegral:

@@ -44,10 +44,8 @@ from .errors import DomainError, InvalidParameters, UnknownPreset
 from .scalarfn import ScalarFn, as_fn
 
 __all__ = [
-    "FamilyA", "FamilyB", "LewisLeach1d", "Preset",
-    "potential_A", "potential_B", "dV_dr", "d2V_dr2", "d2V_dtdr",
-    "effective_potential_U", "preset", "catalog", "ermakov_residuals",
-    "mass_profile", "classify_mass_profile", "omega_profile",
+    "FamilyA", "FamilyB", "LewisLeach1d", "Preset", "preset", "catalog",
+    "ermakov_residuals", "mass_profile", "classify_mass_profile", "omega_profile",
     "oscillator_shape", "kepler_shape", "scaled_kepler_shape",
     "yukawa_shape", "interatomic_shape",
 ]
@@ -323,38 +321,6 @@ def ermakov_residuals(rho, alpha, Omega, F1, k: float, t):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (thin, type-checked views of the family methods)
-# ---------------------------------------------------------------------------
-
-def potential_A(fam: FamilyA, t, r):
-    if not isinstance(fam, FamilyA):
-        raise TypeError("potential_A expects a linear-invariant family")
-    return fam.V(t, r)
-
-
-def potential_B(fam: FamilyB, t, r):
-    if not isinstance(fam, FamilyB):
-        raise TypeError("potential_B expects a quadratic-invariant family")
-    return fam.V(t, r)
-
-
-def dV_dr(fam, t, r):
-    return fam.dV_dr(t, r)
-
-
-def d2V_dr2(fam, t, r):
-    return fam.d2V_dr2(t, r)
-
-
-def d2V_dtdr(fam, t, r):
-    return fam.d2V_dtdr(t, r)
-
-
-def effective_potential_U(fam, t, r):
-    return fam.U(t, r)
-
-
-# ---------------------------------------------------------------------------
 # shape functions (single-argument trees over u)
 # ---------------------------------------------------------------------------
 
@@ -448,9 +414,6 @@ def _positive_quadratic(b0, b1, b2, interval, what):
         tv = -b1 / (2.0 * b2)
         if lo <= tv <= hi and b2 > 0.0:
             worst = min(worst, q(tv))
-        if b2 < 0.0:
-            # concave: endpoints are the minimum, already covered
-            pass
     if worst <= 0.0:
         raise InvalidParameters(
             f"{what}: b0 + b1 t + b2 t^2 must stay positive on {interval}")
@@ -590,21 +553,28 @@ def preset(name: str, **params) -> Preset:
         unknown = set(params) - set(sig.parameters)
         if unknown:
             raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
-    echo = dict(params)
-    if "interval" in params:
-        params["interval"] = _interval_param(name, params["interval"])
-    family = builder(**params)
-    return Preset(name, family, echo, description)
+    defaults = {key: p.default for key, p in sig.parameters.items()}
+    family = builder(**{key: _param(name, key, value, defaults.get(key))
+                        for key, value in params.items()})
+    return Preset(name, family, params, description)
 
 
-def _interval_param(name: str, value) -> tuple:
-    """The validity interval parameter as a (lo, hi) pair of floats."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in value)):
-        raise InvalidParameters(
-            f"{name}: parameter 'interval' must be a pair [lo, hi] of numbers")
-    return float(value[0]), float(value[1])
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _param(name: str, key: str, value, default):
+    """A preset parameter checked against the type of its builder default;
+    the validity interval comes back as a (lo, hi) pair of floats."""
+    if key == "interval":
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_is_real(v) for v in value)):
+            raise InvalidParameters(
+                f"{name}: parameter 'interval' must be a pair [lo, hi] of numbers")
+        return float(value[0]), float(value[1])
+    if isinstance(default, float) and not _is_real(value):
+        raise InvalidParameters(f"{name}: parameter {key!r} must be a number")
+    return value
 
 
 def catalog() -> list[tuple[str, str]]:

@@ -47,7 +47,7 @@ from .errors import DomainError, ParseError, ToleranceNotMet
 __all__ = [
     "ScalarFn", "Const", "Var", "Poly", "Sum", "Product", "Quotient",
     "Power", "Exp", "Compose", "Antiderivative",
-    "T", "const", "poly", "affine", "add", "sub", "mul", "neg", "div",
+    "T", "const", "poly", "add", "sub", "mul", "neg", "div",
     "power", "sqrt", "exp", "compose", "antiderivative", "as_fn",
     "deriv", "integrate", "QuadratureConfig", "to_text", "parse",
 ]
@@ -634,11 +634,6 @@ def poly(*coeffs: float) -> ScalarFn:
     if cs == [0.0, 1.0]:
         return T
     return Poly(tuple(cs))
-
-
-def affine(a: float, b: float) -> ScalarFn:
-    """t -> a*t + b."""
-    return poly(b, a)
 
 
 def add(*terms) -> ScalarFn:

@@ -199,21 +199,16 @@ def rescaled_shape_recovery(phi, Fbar, L3: float, grid=None) -> float:
 
 
 def closed_form_r(fam: FamilyA, I: float, c: float, t: float, t0: float = 0.0,
-                  quad: sf.QuadratureConfig | None = None,
-                  constant_outside: bool = False) -> float:
+                  quad: sf.QuadratureConfig | None = None) -> float:
     """Closed-form radius of the linear family.
 
     r(t) = g2(t) * (int_{t0}^{t} (I - g)/g2^2 dtau + c); the integration
     constant multiplies g2, which is the placement that actually solves
     rdot = (g2' r + I - g)/g2 (differentiate r/g2 to confirm).  The
-    additive variant g2 * integral + c is kept behind `constant_outside`
-    for comparison; it solves the equation only when g2' c = 0.
+    additive placement g2 * integral + c solves it only when g2' c = 0.
     """
     integrand = sf.div(sf.sub(sf.const(I), fam.g), sf.power(fam.g2, 2))
-    acc = sf.integrate(integrand, t0, t, quad)
-    if constant_outside:
-        return fam.g2(t) * acc + c
-    return fam.g2(t) * (acc + c)
+    return fam.g2(t) * (sf.integrate(integrand, t0, t, quad) + c)
 
 
 def closed_form_theta(traj: dyn.Trajectory, L3: float,
@@ -309,10 +304,6 @@ class PerturbedPotential(_CentralFamily):
         return getattr(self._fam, name)
 
     @property
-    def L3(self):
-        return self._fam.L3
-
-    @property
     def radial(self):
         return self._fam.radial
 
@@ -329,25 +320,14 @@ class PerturbedPotential(_CentralFamily):
         return self._fam.d2U_dtdr(t, r)
 
 
-class MismatchedShapeFamily(_CentralFamily):
+class MismatchedShapeFamily(FamilyB):
     """Negative control: rescales the shape argument on the invariant side
-    only (K and its partials), leaving the potential untouched."""
+    only (K and its partials), leaving the potential of `fam` untouched."""
 
     def __init__(self, fam: FamilyB, scale: float = 1.01):
+        super().__init__(fam.g1, fam.g2, sf.compose(fam.F, sf.poly(0.0, scale)),
+                         fam.L3, fam.t0, label=f"{fam.label}-mismatched")
         self._fam = fam
-        self.scale = float(scale)
-        self.label = f"{fam.label}-mismatched"
-
-    def __getattr__(self, name):
-        return getattr(self._fam, name)
-
-    @property
-    def L3(self):
-        return self._fam.L3
-
-    @property
-    def radial(self):
-        return self._fam.radial
 
     def U(self, t, r):
         return self._fam.U(t, r)
@@ -360,23 +340,3 @@ class MismatchedShapeFamily(_CentralFamily):
 
     def d2U_dtdr(self, t, r):
         return self._fam.d2U_dtdr(t, r)
-
-    def K(self, t, r):
-        fam = self._fam
-        w = fam.g1_d(t) * r - fam.g2(t)
-        return fam.F(self.scale * fam.arg(t, r)) + w * w / (4.0 * fam.g1(t))
-
-    def dK_dr(self, t, r):
-        fam = self._fam
-        w = fam.g1_d(t) * r - fam.g2(t)
-        return (fam.F_d(self.scale * fam.arg(t, r)) * self.scale * fam._P(t)
-                + w * fam.g1_d(t) / (2.0 * fam.g1(t)))
-
-    def dK_dt(self, t, r):
-        fam = self._fam
-        g1 = fam.g1(t)
-        w = fam.g1_d(t) * r - fam.g2(t)
-        st = fam._P_d(t) * r + fam._Q_d(t)
-        return (fam.F_d(self.scale * fam.arg(t, r)) * self.scale * st
-                + w * (fam.g1_dd(t) * r - fam.g2_d(t)) / (2.0 * g1)
-                - w * w * fam.g1_d(t) / (4.0 * g1 * g1))

@@ -51,6 +51,45 @@ class TestConfigKeysNamed:
         err = capsys.readouterr().err
         assert "config.family" in err and "'interval'" in err
 
+    @pytest.mark.parametrize("preset,key,value", [
+        ("oscillator", "c0", "abc"),
+        ("generalized-kepler", "nu", [1]),
+    ])
+    def test_preset_parameter_not_a_number(self, tmp_path, capsys, preset,
+                                           key, value):
+        cfg = oscillator_config()
+        cfg["family"] = {"preset": preset, "params": {key: value}}
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config.family: {preset}: parameter {key!r}" in err
+
+    @pytest.mark.parametrize("section", ["ermakov", "radial-mode"])
+    def test_non_object_section(self, tmp_path, capsys, section):
+        path = write_config(tmp_path, {section: 5})
+        assert main(["verify", "--suite", section, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config.{section}: must be an object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("axis", [[0.5, 3, "x"], ["x", 3, 4], [0.5, 3, 0]])
+    def test_wavefunction_grid_axis(self, tmp_path, capsys, axis):
+        path = write_config(tmp_path, {
+            "a": 1.0, "b": 1,
+            "grid": {"r": axis, "theta": [0.0, 6.0, 3], "t": [0.0, 2.0, 3]}})
+        out = str(tmp_path / "wf")
+        assert main(["wavefunction", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config.grid: key 'r'" in err
+        assert "Traceback" not in err
+
+    def test_plan_error_prefixed_once(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"plan": {"t_range": [1]}})
+        assert main(["verify", "--suite", "pde", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config.plan: key 't_range' must be [lo, hi]" in err
+        assert err.count("config.plan") == 1
+
 
 class TestListPresets:
     def test_text_catalog(self, capsys):
@@ -58,6 +97,11 @@ class TestListPresets:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) >= 8
         assert all(": " in line for line in lines)
+
+    def test_json_only_on_list_presets(self, tmp_path, capsys):
+        path = write_config(tmp_path, oscillator_config())
+        assert main(["simulate", "--json", "--config", path]) == 2
+        assert "--json" in capsys.readouterr().err
 
     def test_json_catalog(self, capsys):
         assert main(["list-presets", "--json"]) == 0

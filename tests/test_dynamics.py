@@ -11,7 +11,7 @@ from tdcentral import dynamics as dyn
 from tdcentral import integrals as fi
 from tdcentral import potentials as pot
 from tdcentral import scalarfn as sf
-from tdcentral.dynamics import IntegratorConfig, PolarState, RadialState
+from tdcentral.dynamics import IntegratorConfig, PolarState
 from tdcentral.errors import DomainError, StepLimitExceeded
 from tdcentral.potentials import FamilyA, FamilyB
 from tdcentral.verify import PerturbedPotential
@@ -33,8 +33,6 @@ def eccentric_kepler():
 class TestStates:
     def test_radius_must_be_positive(self):
         with pytest.raises(DomainError):
-            RadialState(0.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
             PolarState(0.0, -1.0, 0.0)
 
     def test_config_validation(self):
@@ -47,27 +45,38 @@ class TestStates:
 
 
 class TestRadialRhs:
+    """The radial acceleration `integrate` steps on: -dU/dr, which equals
+    L3^2/r^3 - dV/dr for these families."""
+
     def test_linear_family_centrifugal_cancels(self):
         # the family potential already carries -L3^2/(2r^2), so the apparent
         # centrifugal acceleration cancels against dV/dr
         fam = FamilyA(1.0, 0.0, L3=1.0)
-        assert dyn.radial_rhs(fam, RadialState(0.0, 1.0, 0.0)) == 0.0
+        assert fam.dU_dr(0.0, 1.0) == 0.0
+        assert fam.L3**2 - fam.dV_dr(0.0, 1.0) == 0.0
+        traj = dyn.integrate(fam, PolarState(0.0, 1.0, 0.3), 2.0)
+        assert np.max(np.abs(traj.r - (1.0 + 0.3 * traj.t))) <= 1e-9
 
     def test_pure_centrifugal(self):
-        # shape u^{-2} makes V vanish identically; only L3^2/r^3 remains
+        # shape u^{-2} makes V vanish identically; only L3^2/r^3 remains,
+        # so the orbit is the straight line r = sqrt(1 + t^2)
         fam = FamilyB(0.5, 0.0, pot.oscillator_shape(0.0, 1.0), L3=1.0)
         assert abs(fam.V(0.0, 1.0)) < 1e-15
-        assert math.isclose(dyn.radial_rhs(fam, RadialState(0.0, 1.0, 0.0)), 1.0,
-                            rel_tol=1e-13)
+        assert math.isclose(-fam.dU_dr(0.0, 1.0), 1.0, rel_tol=1e-13)
+        traj = dyn.integrate(fam, PolarState(0.0, 1.0, 0.0), 2.0)
+        assert np.max(np.abs(traj.r - np.sqrt(1.0 + traj.t**2))) <= 1e-8
+        assert abs(traj.theta[-1] - math.atan(2.0)) <= 1e-8
 
     def test_circular_orbit_balance(self):
         fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=1.0).family
-        assert abs(dyn.radial_rhs(fam, RadialState(0.0, 1.0, 0.0))) < 1e-13
+        assert abs(fam.dU_dr(0.0, 1.0)) < 1e-13
+        traj = dyn.integrate(fam, PolarState(0.0, 1.0, 0.0), 2.0 * math.pi)
+        assert np.max(np.abs(traj.r - 1.0)) <= 1e-8
 
     def test_free_family(self):
         fam = FamilyB(0.5, 0.0, 0.0, 0.0)
         for t, r in ((0.0, 1.0), (2.0, 0.4)):
-            assert dyn.radial_rhs(fam, RadialState(t, r, 0.3)) == 0.0
+            assert fam.dU_dr(t, r) == 0.0
 
 
 class TestIntegrate:

@@ -42,17 +42,17 @@ def preset_pool():
 class TestFamilyAPotential:
     def test_pure_centrifugal(self):
         fam = FamilyA(1.0, 0.0, L3=1.0)
-        assert pot.potential_A(fam, 0.0, 1.0) == -0.5
+        assert fam.V(0.0, 1.0) == -0.5
 
     def test_quadratic_profile(self):
         # g2 = t^2 has constant second derivative 2, so V = -r^2/t^2
         fam = FamilyA(sf.poly(0, 0, 1), 0.0, 0.0)
-        assert math.isclose(pot.potential_A(fam, 1.0, 1.0), -1.0, rel_tol=1e-14)
+        assert math.isclose(fam.V(1.0, 1.0), -1.0, rel_tol=1e-14)
 
     def test_linear_gauge_term(self):
         fam = FamilyA(1.0, sf.T, 0.0)
         for t in (0.0, 1.0, 7.5):
-            assert math.isclose(pot.potential_A(fam, t, 2.0), 2.0, rel_tol=1e-14)
+            assert math.isclose(fam.V(t, 2.0), 2.0, rel_tol=1e-14)
 
     def test_rejects_nonpositive_radius(self):
         fam = FamilyA(1.0, 0.0, 1.0)
@@ -74,23 +74,17 @@ class TestFamilyAPotential:
         fam = FamilyA(sf.poly(0, 1), 0.0, 0.0)
         assert fam.V(0.0, 1.0) == 0.0
 
-    def test_wrong_family_type(self):
-        with pytest.raises(TypeError):
-            pot.potential_A(FamilyB(0.5), 0.0, 1.0)
-        with pytest.raises(TypeError):
-            pot.potential_B(FamilyA(1.0), 0.0, 1.0)
-
 
 class TestFamilyBPotential:
     def test_pure_centrifugal(self):
         fam = FamilyB(0.5, 0.0, 0.0, L3=1.0)
-        assert pot.potential_B(fam, 0.0, 1.0) == -0.5
+        assert fam.V(0.0, 1.0) == -0.5
 
     def test_quadratic_profile_with_shape(self):
         # g1 = 1+t^2, F(u) = u^2 at t = 0, r = 2: the r^2 term gives -2,
         # the shape term +2; they cancel exactly
         fam = FamilyB(sf.poly(1, 0, 1), 0.0, sf.power(U, 2), 0.0)
-        assert abs(pot.potential_B(fam, 0.0, 2.0)) < 1e-14
+        assert abs(fam.V(0.0, 2.0)) < 1e-14
 
     def test_rescaled_shape_instance(self):
         # constant profile g1 = 1/2 turns the family into a plain shape
@@ -125,18 +119,18 @@ class TestFamilyBPotential:
 class TestPartials:
     def test_inverse_square_slope(self):
         fam = FamilyB(0.5, 0.0, 0.0, L3=1.0)
-        assert math.isclose(pot.dV_dr(fam, 0.0, 1.0), 1.0, rel_tol=1e-14)
+        assert math.isclose(fam.dV_dr(0.0, 1.0), 1.0, rel_tol=1e-14)
 
     def test_flat_family_partials_vanish(self):
         fam = FamilyA(1.0, 0.0, 0.0)
         for t, r in ((0.0, 1.0), (2.0, 0.3), (-1.0, 5.0)):
-            assert pot.dV_dr(fam, t, r) == 0.0
-            assert pot.d2V_dr2(fam, t, r) == 0.0
-            assert pot.d2V_dtdr(fam, t, r) == 0.0
+            assert fam.dV_dr(t, r) == 0.0
+            assert fam.d2V_dr2(t, r) == 0.0
+            assert fam.d2V_dtdr(t, r) == 0.0
 
     def test_oscillator_slope_at_origin_time(self):
         fam = pot.preset("oscillator", g1="(poly 1 0 1)", c0=0.0, L3=0.0).family
-        assert math.isclose(pot.dV_dr(fam, 0.0, 1.0), -1.0, rel_tol=1e-12)
+        assert math.isclose(fam.dV_dr(0.0, 1.0), -1.0, rel_tol=1e-12)
 
     def test_partials_match_finite_differences(self):
         # analytic partials vs central differences of the potential itself,
@@ -166,17 +160,15 @@ class TestEffectivePotential:
     def test_exact_cancellation(self):
         for L3 in (0.0, 1.0, 7.0):
             fam = FamilyB(0.5, 0.0, 0.0, L3=L3)
-            assert pot.effective_potential_U(fam, 0.3, 1.0) == 0.0
+            assert fam.U(0.3, 1.0) == 0.0
 
     def test_linear_family_value(self):
         fam = FamilyA(1.0, sf.T, L3=5.0)
-        assert math.isclose(pot.effective_potential_U(fam, 0.0, 2.0), 2.0,
-                            rel_tol=1e-14)
+        assert math.isclose(fam.U(0.0, 2.0), 2.0, rel_tol=1e-14)
 
     def test_static_kepler_value(self):
         fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.0).family
-        assert math.isclose(pot.effective_potential_U(fam, 0.0, 2.0), -0.5,
-                            rel_tol=1e-12)
+        assert math.isclose(fam.U(0.0, 2.0), -0.5, rel_tol=1e-12)
 
     def test_no_angular_momentum_dependence(self):
         # U is independent of the family's L3 field when the shape is held fixed

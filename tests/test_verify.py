@@ -158,15 +158,13 @@ class TestClosedFormR:
     def test_constant_placement_matters(self):
         fam = fam_linear()
         inside = vf.closed_form_r(fam, I=0.5, c=2.0, t=3.0)
-        outside = vf.closed_form_r(fam, I=0.5, c=2.0, t=3.0,
-                                   constant_outside=True)
+        outside = vf.closed_form_r(fam, I=0.5, c=0.0, t=3.0) + 2.0
         assert abs(inside - outside) > 0.1
 
     def test_placements_agree_for_constant_g2(self):
         fam = FamilyA(1.0, 0.0)
         inside = vf.closed_form_r(fam, I=0.3, c=1.5, t=4.0)
-        outside = vf.closed_form_r(fam, I=0.3, c=1.5, t=4.0,
-                                   constant_outside=True)
+        outside = vf.closed_form_r(fam, I=0.3, c=0.0, t=4.0) + 1.5
         assert inside == pytest.approx(outside, abs=1e-14)
 
 
