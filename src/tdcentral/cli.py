@@ -262,7 +262,7 @@ def _suite_closed_form(cfg, seed):
                       label="linear-fixture")
     s0 = dyn.PolarState(0.0, 2.0, 0.1)
     traj = dyn.integrate(fam, s0, 5.0)
-    I0 = fi.lfi_A(fam, s0.t, s0.r, s0.rdot)
+    I0 = fam.fi(s0.t, s0.r, s0.rdot)
     c0 = s0.r / fam.g2(s0.t)
     radius_dev = float(max(abs(vf.closed_form_r(fam, I0, c0, float(t)) - r)
                            for t, r in zip(traj.t[::10], traj.r[::10])))
@@ -310,23 +310,29 @@ def _suite_orbit(cfg, seed):
 def _suite_radial_mode(cfg, seed):
     spec = _section(cfg, "radial-mode")
     where = "config.radial-mode"
-    a_values = spec.get("a_values", [0.0, 1.0, 2.0])
-    b_values = spec.get("b_values", list(range(6)))
-    hbar_values = spec.get("hbar_values", [0.5, 1.0, 2.0])
+    def values(key, field, default):
+        raw = _get(spec, key, list, default, where)
+        if not _numbers(raw, len(raw)):
+            raise ConfigError(f"{where}: key {key!r} must be a list of numbers")
+        try:
+            for value in raw:
+                qm.WavefunctionParams(**{"a": 0.0, "b": 0, field: value})
+        except InvalidParameters as e:
+            raise ConfigError(f"{where}: key {key!r}: {e}") from e
+        return raw
+    a_values = values("a_values", "a", [0.0, 1.0, 2.0])
+    b_values = values("b_values", "b", list(range(6)))
+    hbar_values = values("hbar_values", "hbar", [0.5, 1.0, 2.0])
     L3 = _get(spec, "L3", float, 0.3, where)
     Rs = np.logspace(math.log10(0.01), math.log10(50.0), 50)
     worst = 0.0
-    try:
-        for a in a_values:
-            for b in b_values:
-                for hbar in hbar_values:
-                    p = qm.WavefunctionParams(a=float(a), b=int(b),
-                                              hbar=float(hbar), L3=L3)
-                    worst = max(worst,
-                                max(abs(qm.radial_mode_residual(p, float(R)))
-                                    for R in Rs))
-    except (InvalidParameters, TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    for a in a_values:
+        for b in b_values:
+            for hbar in hbar_values:
+                p = qm.WavefunctionParams(a=float(a), b=b, hbar=float(hbar),
+                                          L3=L3)
+                worst = max(worst, max(abs(qm.radial_mode_residual(p, float(R)))
+                                       for R in Rs))
     ground = qm.WavefunctionParams(a=0.0, b=0, hbar=1.0)
     mod_dev = abs(abs(qm.wavefunction(ground, 1.0, 0.4, 0.7))
                   - math.exp(-0.5))
@@ -386,14 +392,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    if args.suite == "all":
-        names = list(_SUITES)
-    elif args.suite in _SUITES:
-        names = [args.suite]
-    else:
-        raise ConfigError(
-            f"unknown suite {args.suite!r}; choose from "
-            f"{', '.join([*_SUITES, 'all'])}")
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     report = None
     for name in names:
         part = _SUITES[name](cfg, args.seed)

@@ -1,15 +1,19 @@
 """First-integral evaluators on the extended phase space.
 
-Each family carries a conserved quantity along its own dynamics:
+Each family carries a conserved quantity along its own dynamics, its `fi`
+method (`first_integral(fam)` binds it):
 
-    linear:     I = g2 rdot - g2' r + g
-    quadratic:  I = g1 rdot^2 + (g2 - g1' r) rdot + F(s) + (g1' r - g2)^2/(4 g1)
+    FamilyA:      I = g2 rdot - g2' r + g
+    FamilyB:      I = g1 rdot^2 + (g2 - g1' r) rdot + F(s) + (g1' r - g2)^2/(4 g1)
+    LewisLeach1d: I = [rho(qdot - alpha') - rho'(q - alpha)]^2/2
+                      + (k/2) w^2 + G(w),  w = (q - alpha)/rho
+
+Evaluated here from explicit profiles:
+
     power-law:  J = G [ (rdot^2 + r^2 thdot^2)/2 - omega/r^nu ]
                     - (G'/2) r rdot + (b2/2) r^2,  G = b0 + b1 t + b2 t^2
     scale-oscillator: I = (phi rdot - phi' r)^2/2 + r^2 phi^2 thdot^2/2
                     + K r^2/(2 phi^2)
-    1d (Lewis-Leach type): I = [rho(qdot - alpha') - rho'(q - alpha)]^2/2
-                    + (k/2) w^2 + G(w),  w = (q - alpha)/rho  (LewisLeach1d.fi)
 
 plus the angular momentum L3 = r^2 thdot and the reduced energy
 rdot^2/2 + U(t,r).  j_nu and scale_oscillator take thetadot explicitly;
@@ -22,27 +26,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .potentials import FamilyA, FamilyB, omega_profile
+from .potentials import _CentralFamily, omega_profile
 from .scalarfn import as_fn
 
 __all__ = [
-    "lfi_A", "qfi_B", "j_nu", "scale_oscillator", "angular_momentum",
+    "j_nu", "scale_oscillator", "angular_momentum",
     "reduced_energy", "FirstIntegral", "first_integral",
-    "j_nu_integral", "angular_momentum_integral", "reduced_energy_integral",
+    "j_nu_integral", "reduced_energy_integral",
 ]
-
-
-def lfi_A(fam: FamilyA, t, r, rdot):
-    """Linear invariant of the g2/g family."""
-    return fam.g2(t) * rdot - fam.g2_d(t) * r + fam.g(t)
-
-
-def qfi_B(fam: FamilyB, t, r, rdot):
-    """Quadratic invariant of the g1/g2/F family (same s(t,r) as the potential)."""
-    g1 = fam.g1(t)
-    w = fam.g1_d(t) * r - fam.g2(t)
-    return (g1 * rdot * rdot + (fam.g2(t) - fam.g1_d(t) * r) * rdot
-            + fam.F(fam.arg(t, r)) + w * w / (4.0 * g1))
 
 
 def j_nu(nu: float, k: float, b0: float, b1: float, b2: float,
@@ -79,14 +70,11 @@ def reduced_energy(fam, t, r, rdot):
 
 @dataclass(frozen=True)
 class FirstIntegral:
-    """A bound, pure evaluator. `arity` documents the expected arguments:
-    "t-r-rdot" for radial-state integrals, "r-thetadot" for angular momentum.
-    """
+    """A bound, pure evaluator of (t, r, rdot)."""
 
     kind: str
     label: str
     fn: Callable
-    arity: str = "t-r-rdot"
 
     def __call__(self, *state):
         return self.fn(*state)
@@ -95,31 +83,19 @@ class FirstIntegral:
 def first_integral(fam) -> FirstIntegral:
     """The invariant that the family's own dynamics conserves.
 
-    Dispatch is on the `kind` protocol string so that a wrapper which
-    delegates the underlying profiles (the PerturbedPotential control)
-    evaluates the base family's candidate invariant along its own dynamics.
+    A wrapper that forwards to a base family (the PerturbedPotential
+    control) gets the base family's invariant, evaluated along its own
+    dynamics.
     """
-    kind = getattr(fam, "kind", None)
-    if kind == "linear-invariant":
-        return FirstIntegral("linear-invariant", fam.label,
-                             lambda t, r, rd: lfi_A(fam, t, r, rd))
-    if kind == "quadratic-invariant":
-        return FirstIntegral("quadratic-invariant", fam.label,
-                             lambda t, r, rd: qfi_B(fam, t, r, rd))
-    if kind == "lewis-leach-1d":
-        return FirstIntegral("lewis-leach-invariant", fam.label, fam.fi)
-    raise TypeError(f"no first integral known for {type(fam).__name__}")
+    if not isinstance(fam, _CentralFamily):
+        raise TypeError(f"no first integral known for {type(fam).__name__}")
+    return FirstIntegral(fam.kind, fam.label, fam.fi)
 
 
 def j_nu_integral(nu, k, b0, b1, b2, L3) -> FirstIntegral:
     return FirstIntegral(
         "power-law-invariant", f"j_nu(nu={nu})",
         lambda t, r, rd: j_nu(nu, k, b0, b1, b2, t, r, rd, L3 / r**2))
-
-
-def angular_momentum_integral() -> FirstIntegral:
-    return FirstIntegral("angular-momentum", "angular-momentum",
-                         angular_momentum, arity="r-thetadot")
 
 
 def reduced_energy_integral(fam) -> FirstIntegral:

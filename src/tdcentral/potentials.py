@@ -11,19 +11,25 @@ Family with a quadratic first integral (profile g1(t) > 0, g2(t), shape F):
              + (1/2g1) F(s) - L3^2/(2r^2),
     s(t,r) = g1^{-1/2} r + (1/2) int_{t0}^{t} g1^{-3/2} g2 dtau.
 
-Both expose the effective potential U = V + L3^2/(2r^2) (the centrifugal
-term cancels exactly for these families) and the exact partial derivatives
-that the residual checks and the integrator need, plus the auxiliary
-function K(t,r) entering the quadratic invariant.  All time profiles are
-ScalarFn trees, so every partial is evaluated from an exact derivative
-tree rather than finite differences.
-
 A one-dimensional companion system (LewisLeach1d) with
 
-    U(t,q) = (1/2) Omega^2 q^2 - F1 q + rho^{-2} Gt((q - alpha)/rho)
+    U(t,q) = (1/2) Omega^2 q^2 - F1 q + rho^{-2} G((q - alpha)/rho)
 
 is included; its profiles must satisfy the Ermakov-Pinney pair checked by
 `ermakov_residuals`.
+
+All three share the shape of the effective potential U = V + L3^2/(2r^2)
+(the centrifugal term cancels exactly for these families):
+
+    U(t,r) = A(t) r^2 + B(t) r + C(t) F(P(t) r + Q(t)),
+
+with C = 0 for the linear family.  Each family hands its trees A, B, C, P,
+Q and shape F to `_CentralFamily`, the one place that evaluates U, V and
+the exact partials the residual checks and the integrator need.  Each
+family also carries its invariant `fi(t, r, rdot)` and, for the two
+central families, the auxiliary function K(t,r) with its partials.  All
+time profiles are ScalarFn trees, so every partial is evaluated from an
+exact derivative tree rather than finite differences.
 
 `preset(name, ...)` builds the named physical instances (oscillator,
 generalized Kepler, shrinking/expanding Kepler orbit family, variable-mass
@@ -60,13 +66,62 @@ def _check_radius(r):
 
 
 class _CentralFamily:
-    """Shared V/U wiring: V = U - L3^2/(2 r^2), partials accordingly."""
+    """U = A(t) r^2 + B(t) r + C(t) F(P(t) r + Q(t)) with its exact partials,
+    and V = U - L3^2/(2 r^2); each family supplies its trees to `_potential`.
+    """
 
     radial = True  # coordinate restricted to r > 0
+
+    def _potential(self, A, B, C, F, P, Q):
+        A, B, C, self.F, P, Q = map(as_fn, (A, B, C, F, P, Q))
+        self._A, self._B, self._C, self._P, self._Q = A, B, C, P, Q
+        self._A_d = A.d()
+        self._B_d = B.d()
+        self._C_d = C.d()
+        self._P_d = P.d()
+        self._Q_d = Q.d()
+        self.F_d = self.F.d()
+        self.F_dd = self.F_d.d()
+        # a constant-zero C leaves U quadratic in r: skip the shape term
+        self._shaped = not (isinstance(C, sf.Const) and C.value == 0.0)
 
     def _guard(self, r):
         if self.radial:
             _check_radius(r)
+
+    def arg(self, t, r):
+        """Shape-function argument s(t,r)."""
+        return self._P(t) * r + self._Q(t)
+
+    def U(self, t, r):
+        self._guard(r)
+        u = self._A(t) * r * r + self._B(t) * r
+        return u + self._C(t) * self.F(self.arg(t, r)) if self._shaped else u
+
+    def dU_dr(self, t, r):
+        self._guard(r)
+        u = 2.0 * self._A(t) * r + self._B(t)
+        if not self._shaped:
+            return u
+        return u + self._C(t) * self.F_d(self.arg(t, r)) * self._P(t)
+
+    def d2U_dr2(self, t, r):
+        self._guard(r)
+        u = 2.0 * self._A(t)
+        if not self._shaped:
+            return u + 0.0 * r  # broadcast to the shape of r
+        return u + self._C(t) * self.F_dd(self.arg(t, r)) * self._P(t)**2
+
+    def d2U_dtdr(self, t, r):
+        self._guard(r)
+        u = 2.0 * self._A_d(t) * r + self._B_d(t)
+        if not self._shaped:
+            return u
+        s = self.arg(t, r)
+        st = self._P_d(t) * r + self._Q_d(t)  # ds/dt at fixed r
+        return (u + self._C_d(t) * self.F_d(s) * self._P(t)
+                + self._C(t) * self.F_dd(s) * st * self._P(t)
+                + self._C(t) * self.F_d(s) * self._P_d(t))
 
     def V(self, t, r):
         self._guard(r)
@@ -77,15 +132,6 @@ class _CentralFamily:
         self._guard(r)
         c = self.L3**2
         return self.dU_dr(t, r) + c * r**-3 if c else self.dU_dr(t, r)
-
-    def d2V_dr2(self, t, r):
-        self._guard(r)
-        c = 3.0 * self.L3**2
-        return self.d2U_dr2(t, r) - c * r**-4 if c else self.d2U_dr2(t, r)
-
-    def d2V_dtdr(self, t, r):
-        self._guard(r)
-        return self.d2U_dtdr(t, r)
 
 
 class FamilyA(_CentralFamily):
@@ -111,27 +157,12 @@ class FamilyA(_CentralFamily):
         self.g2_d = self.g2.d()
         self.g2_dd = self.g2_d.d()
         self.g_d = self.g.d()
-        # U = a2(t) r^2 + a1(t) r
-        self._a2 = sf.mul(-0.5, sf.div(self.g2_dd, self.g2))
-        self._a1 = sf.div(self.g_d, self.g2)
-        self._a2_d = self._a2.d()
-        self._a1_d = self._a1.d()
+        self._potential(sf.mul(-0.5, sf.div(self.g2_dd, self.g2)),
+                        sf.div(self.g_d, self.g2), 0.0, 0.0, 0.0, 0.0)
 
-    def U(self, t, r):
-        self._guard(r)
-        return self._a2(t) * r * r + self._a1(t) * r
-
-    def dU_dr(self, t, r):
-        self._guard(r)
-        return 2.0 * self._a2(t) * r + self._a1(t)
-
-    def d2U_dr2(self, t, r):
-        self._guard(r)
-        return 2.0 * self._a2(t) + 0.0 * r
-
-    def d2U_dtdr(self, t, r):
-        self._guard(r)
-        return 2.0 * self._a2_d(t) * r + self._a1_d(t)
+    def fi(self, t, r, rdot):
+        """Linear invariant of the g2/g family."""
+        return self.g2(t) * rdot - self.g2_d(t) * r + self.g(t)
 
     def K(self, t, r):
         return -self.g2_d(t) * r + self.g(t)
@@ -156,7 +187,6 @@ class FamilyB(_CentralFamily):
                  quad: sf.QuadratureConfig | None = None, label: str = "family-b"):
         self.g1 = as_fn(g1)
         self.g2 = as_fn(g2)
-        self.F = as_fn(F)
         self.L3 = float(L3)
         self.t0 = float(t0)
         self.label = label
@@ -165,50 +195,25 @@ class FamilyB(_CentralFamily):
         self.g1_ddd = self.g1_dd.d()
         self.g2_d = self.g2.d()
         self.g2_dd = self.g2_d.d()
-        self.F_d = self.F.d()
-        self.F_dd = self.F_d.d()
-        # U = A(t) r^2 + B(t) r + C(t) F(s),  s = P(t) r + Q(t)
         ratio = sf.div(self.g1_d, self.g1)
-        self._A = sf.sub(sf.mul(0.125, sf.power(ratio, 2)),
-                         sf.div(self.g1_dd, sf.mul(4.0, self.g1)))
-        self._B = sf.div(sf.sub(self.g2_d,
-                                sf.div(sf.mul(self.g2, self.g1_d), sf.mul(2.0, self.g1))),
-                         sf.mul(2.0, self.g1))
-        self._C = sf.div(1.0, sf.mul(2.0, self.g1))
-        self._P = sf.power(self.g1, -0.5)
-        self._Q = sf.antiderivative(
-            sf.mul(0.5, sf.power(self.g1, -1.5), self.g2), self.t0, quad)
-        self._A_d = self._A.d()
-        self._B_d = self._B.d()
-        self._C_d = self._C.d()
-        self._P_d = self._P.d()
-        self._Q_d = self._Q.d()
+        self._potential(
+            sf.sub(sf.mul(0.125, sf.power(ratio, 2)),
+                   sf.div(self.g1_dd, sf.mul(4.0, self.g1))),
+            sf.div(sf.sub(self.g2_d,
+                          sf.div(sf.mul(self.g2, self.g1_d), sf.mul(2.0, self.g1))),
+                   sf.mul(2.0, self.g1)),
+            sf.div(1.0, sf.mul(2.0, self.g1)),
+            F,
+            sf.power(self.g1, -0.5),
+            sf.antiderivative(sf.mul(0.5, sf.power(self.g1, -1.5), self.g2),
+                              self.t0, quad))
 
-    def arg(self, t, r):
-        """Shape-function argument s(t,r)."""
-        return self._P(t) * r + self._Q(t)
-
-    def U(self, t, r):
-        self._guard(r)
-        return self._A(t) * r * r + self._B(t) * r + self._C(t) * self.F(self.arg(t, r))
-
-    def dU_dr(self, t, r):
-        self._guard(r)
-        return 2.0 * self._A(t) * r + self._B(t) \
-            + self._C(t) * self.F_d(self.arg(t, r)) * self._P(t)
-
-    def d2U_dr2(self, t, r):
-        self._guard(r)
-        return 2.0 * self._A(t) + self._C(t) * self.F_dd(self.arg(t, r)) * self._P(t)**2
-
-    def d2U_dtdr(self, t, r):
-        self._guard(r)
-        s = self.arg(t, r)
-        st = self._P_d(t) * r + self._Q_d(t)  # ds/dt at fixed r
-        return (2.0 * self._A_d(t) * r + self._B_d(t)
-                + self._C_d(t) * self.F_d(s) * self._P(t)
-                + self._C(t) * self.F_dd(s) * st * self._P(t)
-                + self._C(t) * self.F_d(s) * self._P_d(t))
+    def fi(self, t, r, rdot):
+        """Quadratic invariant of the g1/g2/F family (same s(t,r) as the potential)."""
+        g1 = self.g1(t)
+        w = self.g1_d(t) * r - self.g2(t)
+        return (g1 * rdot * rdot + (self.g2(t) - self.g1_d(t) * r) * rdot
+                + self.F(self.arg(t, r)) + w * w / (4.0 * g1))
 
     def K(self, t, r):
         w = self.g1_d(t) * r - self.g2(t)
@@ -239,7 +244,7 @@ class LewisLeach1d(_CentralFamily):
     variant for comparison.
     """
 
-    kind = "lewis-leach-1d"
+    kind = "lewis-leach-invariant"
     radial = False
 
     def __init__(self, rho, alpha=0.0, Omega=0.0, F1=0.0, G=0.0, k: float = 0.0,
@@ -254,47 +259,20 @@ class LewisLeach1d(_CentralFamily):
         self.label = label
         self.rho_d = self.rho.d()
         self.alpha_d = self.alpha.d()
-        self.G_d = self.G.d()
-        self.G_dd = self.G_d.d()
-        self._om2 = sf.power(self.Omega, 2)
-        self._om2_d = self._om2.d()
-        self._inv_rho = sf.div(1.0, self.rho)
-        self._inv_rho2 = sf.power(self.rho, -2)
-        self._inv_rho3 = sf.power(self.rho, -3)
-        self._inv_rho3_d = self._inv_rho3.d()
-        self._woff = sf.neg(sf.div(self.alpha, self.rho))  # w = q/rho + woff
-        self._inv_rho_d = self._inv_rho.d()
-        self._woff_d = self._woff.d()
-
-    def warg(self, t, q):
-        return self._inv_rho(t) * q + self._woff(t)
-
-    def U(self, t, q):
-        return (0.5 * self._om2(t) * q * q - self.F1(t) * q
-                + self._inv_rho2(t) * self.G(self.warg(t, q)))
-
-    def dU_dr(self, t, q):
-        return self._om2(t) * q - self.F1(t) + self._inv_rho3(t) * self.G_d(self.warg(t, q))
-
-    def d2U_dr2(self, t, q):
-        return self._om2(t) + self._inv_rho3(t) * self.G_dd(self.warg(t, q)) * self._inv_rho(t)
-
-    def d2U_dtdr(self, t, q):
-        w = self.warg(t, q)
-        wt = self._inv_rho_d(t) * q + self._woff_d(t)
-        return (self._om2_d(t) * q - self.F1.d()(t)
-                + self._inv_rho3_d(t) * self.G_d(w)
-                + self._inv_rho3(t) * self.G_dd(w) * wt)
+        # shape argument w = (q - alpha)/rho = q/rho - alpha/rho
+        self._potential(sf.mul(0.5, sf.power(self.Omega, 2)), sf.neg(self.F1),
+                        sf.power(self.rho, -2), self.G, sf.div(1.0, self.rho),
+                        sf.neg(sf.div(self.alpha, self.rho)))
 
     def fi(self, t, q, qdot):
         """Conserved invariant (coordinate-rate reading of the bracket)."""
-        w = self.warg(t, q)
+        w = self.arg(t, q)
         bracket = self.rho(t) * (qdot - self.alpha_d(t)) - self.rho_d(t) * (q - self.alpha(t))
         return 0.5 * bracket**2 + 0.5 * self.k * w * w + self.G(w)
 
     def fi_profile_rate(self, t, q, qdot):
         """Literal variant with the profile rate in the bracket; not conserved."""
-        w = self.warg(t, q)
+        w = self.arg(t, q)
         bracket = self.rho(t) * (self.rho_d(t) - self.alpha_d(t)) \
             - self.rho_d(t) * (q - self.alpha(t))
         return 0.5 * bracket**2 + 0.5 * self.k * w * w + self.G(w)
@@ -441,7 +419,7 @@ def _nonzero_fn(f: ScalarFn, interval, what, n=65):
         raise InvalidParameters(f"{what}: profile must not vanish on {interval}")
 
 
-def _build_free_particle(L3=0.0, **_):
+def _build_free_particle(L3=0.0):
     return FamilyA(1.0, 0.0, L3, label="free-particle")
 
 
@@ -548,11 +526,9 @@ def preset(name: str, **params) -> Preset:
     except KeyError:
         raise UnknownPreset(name) from None
     sig = inspect.signature(builder)
-    accepts_any = any(p.kind == p.VAR_KEYWORD for p in sig.parameters.values())
-    if not accepts_any:
-        unknown = set(params) - set(sig.parameters)
-        if unknown:
-            raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
+    unknown = set(params) - set(sig.parameters)
+    if unknown:
+        raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
     defaults = {key: p.default for key, p in sig.parameters.items()}
     family = builder(**{key: _param(name, key, value, defaults.get(key))
                         for key, value in params.items()})

@@ -64,6 +64,28 @@ class TestConfigKeysNamed:
         err = capsys.readouterr().err
         assert f"config.family: {preset}: parameter {key!r}" in err
 
+    def test_preset_unknown_parameter(self, tmp_path, capsys):
+        cfg = oscillator_config()
+        cfg["family"] = {"preset": "free-particle",
+                         "params": {"L3": 0.5, "bogus": "x"}}
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config.family: free-particle: unknown parameters" in err
+        assert "'bogus'" in err
+
+    @pytest.mark.parametrize("spec,key", [
+        ({"a_values": 5}, "a_values"),
+        ({"hbar_values": ["x"]}, "hbar_values"),
+        ({"b_values": [0.5]}, "b_values"),
+    ])
+    def test_radial_mode_values(self, tmp_path, capsys, spec, key):
+        path = write_config(tmp_path, {"radial-mode": spec})
+        assert main(["verify", "--suite", "radial-mode", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config.radial-mode: key {key!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section", ["ermakov", "radial-mode"])
     def test_non_object_section(self, tmp_path, capsys, section):
         path = write_config(tmp_path, {section: 5})
@@ -191,7 +213,7 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
-        capsys.readouterr()
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 class TestOrbit:

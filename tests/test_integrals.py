@@ -19,33 +19,33 @@ class TestLinearInvariant:
     def test_constant_profile_is_momentum(self):
         fam = FamilyA(1.0, 0.0)
         for rdot in (-1.0, 0.0, 2.5):
-            assert fi.lfi_A(fam, 0.3, 1.7, rdot) == rdot
+            assert fam.fi(0.3, 1.7, rdot) == rdot
 
     def test_linear_profile(self):
         fam = FamilyA(sf.poly(0, 1), 0.0)
-        assert fi.lfi_A(fam, 2.0, 3.0, 1.0) == -1.0
+        assert fam.fi(2.0, 3.0, 1.0) == -1.0
 
     def test_gauge_term(self):
         fam = FamilyA(1.0, sf.T)
-        assert fi.lfi_A(fam, 5.0, 0.0, 0.0) == 5.0
+        assert fam.fi(5.0, 0.0, 0.0) == 5.0
 
 
 class TestQuadraticInvariant:
     def test_shape_only_state(self):
         fam = FamilyB(sf.poly(1, 0, 1), 0.0, sf.power(U, 2), 0.0)
-        assert math.isclose(fi.qfi_B(fam, 0.0, 1.0, 0.0), 1.0, rel_tol=1e-14)
+        assert math.isclose(fam.fi(0.0, 1.0, 0.0), 1.0, rel_tol=1e-14)
 
     def test_moving_state(self):
         # kinetic 18, cross term -12, shape 2, completion 2
         fam = FamilyB(sf.poly(1, 0, 1), 0.0, sf.power(U, 2), 0.0)
-        assert math.isclose(fi.qfi_B(fam, 1.0, 2.0, 3.0), 10.0, rel_tol=1e-13)
+        assert math.isclose(fam.fi(1.0, 2.0, 3.0), 10.0, rel_tol=1e-13)
 
     def test_free_reduction(self):
         fam = FamilyB(0.5, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             t, r, rd = rng.uniform(0.0, 3.0), rng.uniform(0.5, 3.0), rng.uniform(-2, 2)
-            assert math.isclose(fi.qfi_B(fam, t, r, rd), 0.5 * rd * rd,
+            assert math.isclose(fam.fi(t, r, rd), 0.5 * rd * rd,
                                 rel_tol=1e-14, abs_tol=1e-15)
 
     def test_t0_shift_with_rebased_shape(self):
@@ -63,8 +63,8 @@ class TestQuadraticInvariant:
             t = float(rng.uniform(0.0, 4.0))
             r = float(rng.uniform(0.5, 3.0))
             rd = float(rng.uniform(-2.0, 2.0))
-            a = fi.qfi_B(fam0, t, r, rd)
-            b = fi.qfi_B(fam1, t, r, rd)
+            a = fam0.fi(t, r, rd)
+            b = fam1.fi(t, r, rd)
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_quadratic_in_velocity(self):
@@ -76,9 +76,9 @@ class TestQuadraticInvariant:
         for _ in range(25):
             t = float(rng.uniform(0.0, 3.0))
             r = float(rng.uniform(0.5, 3.0))
-            i_m = fi.qfi_B(fam, t, r, -1.0)
-            i_0 = fi.qfi_B(fam, t, r, 0.0)
-            i_p = fi.qfi_B(fam, t, r, 1.0)
+            i_m = fam.fi(t, r, -1.0)
+            i_0 = fam.fi(t, r, 0.0)
+            i_p = fam.fi(t, r, 1.0)
             lead = 0.5 * (i_p + i_m) - i_0
             lin = 0.5 * (i_p - i_m)
             assert math.isclose(lead, g1(t), rel_tol=1e-12)
@@ -129,7 +129,7 @@ class TestPowerLawInvariant:
             r = float(rng.uniform(0.5, 3.0))
             rd = float(rng.uniform(-2.0, 2.0))
             a = fi.j_nu_integral(L3=L3, **params)(t, r, rd)
-            b = fi.qfi_B(fam, t, r, rd)
+            b = fam.fi(t, r, rd)
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -165,7 +165,7 @@ class TestScaleOscillatorInvariant:
             rd = float(rng.uniform(-2.0, 2.0))
             td = L3 / (r * r)
             a = fi.scale_oscillator(phi, K, t, r, rd, td)
-            b = fi.qfi_B(fam, t, r, rd)
+            b = fam.fi(t, r, rd)
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -218,9 +218,7 @@ class TestDispatch:
     def test_bound_evaluator_matches_free_function(self):
         fam = FamilyA(sf.poly(1, 0.2), sf.T, L3=0.5)
         bound = fi.first_integral(fam)
-        assert bound(1.0, 2.0, 0.3) == fi.lfi_A(fam, 1.0, 2.0, 0.3)
-        assert bound.arity == "t-r-rdot"
-        assert fi.angular_momentum_integral().arity == "r-thetadot"
+        assert bound(1.0, 2.0, 0.3) == fam.fi(1.0, 2.0, 0.3)
 
 
 class TestDriftAlongTrajectories:

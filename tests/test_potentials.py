@@ -34,6 +34,11 @@ def preset_pool():
                              L3=0.4), (0.0, 2.0), (0.8, 2.5)),
         ("lewis-leach", dict(rho="(sqrt (poly 1 0 1))", alpha="(poly 0 0.1)",
                              k=1.0), (0.0, 3.0), (0.5, 3.0)),
+        # the CLI's driven-1d fixture: nonzero Omega and F1 reach every term
+        ("lewis-leach", dict(rho="(sqrt (poly 1 0 1))", alpha="(poly 0 0.1)",
+                             Omega="(pow (poly 1 0 1) -1)",
+                             F1="(* 0.1 t (pow (poly 1 0 1) -2))",
+                             G="(pow t 4)", k=2.0), (0.0, 3.0), (0.5, 3.0)),
     ]
     return [(pot.preset(name, **params).family, trange, rrange)
             for name, params, trange, rrange in entries]
@@ -125,16 +130,16 @@ class TestPartials:
         fam = FamilyA(1.0, 0.0, 0.0)
         for t, r in ((0.0, 1.0), (2.0, 0.3), (-1.0, 5.0)):
             assert fam.dV_dr(t, r) == 0.0
-            assert fam.d2V_dr2(t, r) == 0.0
-            assert fam.d2V_dtdr(t, r) == 0.0
+            assert fam.d2U_dr2(t, r) == 0.0
+            assert fam.d2U_dtdr(t, r) == 0.0
 
     def test_oscillator_slope_at_origin_time(self):
         fam = pot.preset("oscillator", g1="(poly 1 0 1)", c0=0.0, L3=0.0).family
         assert math.isclose(fam.dV_dr(0.0, 1.0), -1.0, rel_tol=1e-12)
 
     def test_partials_match_finite_differences(self):
-        # analytic partials vs central differences of the potential itself,
-        # 100 samples per preset
+        # dV_dr vs central differences of V, the second partials of U vs
+        # central differences of dU_dr; 100 samples per pool entry
         rng = np.random.default_rng(20260815)
         for fam, (tlo, thi), (rlo, rhi) in preset_pool():
             for _ in range(100):
@@ -143,11 +148,11 @@ class TestPartials:
                 hr = 1e-6 * max(1.0, r)
                 ht = 1e-6 * max(1.0, abs(t))
                 fd_r = central_diff(lambda x: fam.V(t, x), r, hr)
-                fd_rr = central_diff(lambda x: fam.dV_dr(t, x), r, hr)
-                fd_tr = central_diff(lambda x: fam.dV_dr(x, r), t, ht)
+                fd_rr = central_diff(lambda x: fam.dU_dr(t, x), r, hr)
+                fd_tr = central_diff(lambda x: fam.dU_dr(x, r), t, ht)
                 got_r = fam.dV_dr(t, r)
-                got_rr = fam.d2V_dr2(t, r)
-                got_tr = fam.d2V_dtdr(t, r)
+                got_rr = fam.d2U_dr2(t, r)
+                got_tr = fam.d2U_dtdr(t, r)
                 scale_r = max(1.0, abs(got_r))
                 scale_rr = max(1.0, abs(got_rr))
                 scale_tr = max(1.0, abs(got_tr))
@@ -325,7 +330,7 @@ class TestLewisLeach1d:
 
     def test_shape_argument(self):
         fam = LewisLeach1d(sf.poly(2.0), sf.poly(0, 1), 0.0, 0.0, 0.0)
-        assert math.isclose(fam.warg(3.0, 5.0), 1.0, rel_tol=1e-14)
+        assert math.isclose(fam.arg(3.0, 5.0), 1.0, rel_tol=1e-14)
 
 
 class TestErmakovResiduals:

@@ -149,7 +149,7 @@ class TestClosedFormR:
         fam = fam_linear()
         s0 = dyn.PolarState(0.0, 2.0, 0.1)
         traj = dyn.integrate(fam, s0, 5.0)
-        I0 = fi.lfi_A(fam, s0.t, s0.r, s0.rdot)
+        I0 = fam.fi(s0.t, s0.r, s0.rdot)
         c0 = s0.r / fam.g2(s0.t)
         worst = max(abs(vf.closed_form_r(fam, I0, c0, float(t)) - r)
                     for t, r in zip(traj.t[::25], traj.r[::25]))
