@@ -10,6 +10,8 @@ byte-identical output; all floats are serialized through repr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -325,14 +327,28 @@ def _suite_radial_mode(cfg, seed):
     hbar_values = values("hbar_values", "hbar", [0.5, 1.0, 2.0])
     L3 = _get(spec, "L3", float, 0.3, where)
     Rs = np.logspace(math.log10(0.01), math.log10(50.0), 50)
+
+    def residual(a=0.0, b=0, hbar=1.0):
+        """Largest |mode residual| over Rs; None outside the double range."""
+        p = qm.WavefunctionParams(a=float(a), b=b, hbar=float(hbar), L3=L3)
+        try:
+            res = [abs(qm.radial_mode_residual(p, float(R))) for R in Rs]
+        except ArithmeticError:  # OverflowError, ZeroDivisionError
+            return None
+        return max(res) if all(map(math.isfinite, res)) else None
+
     worst = 0.0
-    for a in a_values:
-        for b in b_values:
-            for hbar in hbar_values:
-                p = qm.WavefunctionParams(a=float(a), b=b, hbar=float(hbar),
-                                          L3=L3)
-                worst = max(worst, max(abs(qm.radial_mode_residual(p, float(R)))
-                                       for R in Rs))
+    for a, b, hbar in itertools.product(a_values, b_values, hbar_values):
+        w = residual(a, b, hbar)
+        if w is None:  # name the first key whose value fails on its own
+            alone = {"L3": {}, "a_values": {"a": a}, "b_values": {"b": b},
+                     "hbar_values": {"hbar": hbar}}
+            keys = [k for k, mode in alone.items() if residual(**mode) is None][:1]
+            raise ConfigError(
+                f"{where}: key {', '.join(map(repr, keys or list(alone)[1:]))}: "
+                f"the mode a={a!r}, b={b!r}, hbar={hbar!r} with L3={L3!r} "
+                f"leaves the double-precision range")
+        worst = max(worst, w)
     ground = qm.WavefunctionParams(a=0.0, b=0, hbar=1.0)
     mod_dev = abs(abs(qm.wavefunction(ground, 1.0, 0.4, 0.7))
                   - math.exp(-0.5))
@@ -381,7 +397,7 @@ def cmd_simulate(args) -> int:
     payload = {"invariant": invariant.kind, "family": fam.label,
                "drift": drift, "tolerance": tol,
                "termination": traj.termination, "samples": len(traj),
-               "pass": ok}
+               "integrator": dataclasses.asdict(traj.stats), "pass": ok}
     _emit(args, "drift.json", _dump(payload))
     if args.out:
         outdir = Path(args.out)

@@ -7,6 +7,11 @@ embedded pair with PI step-size control, FSAL, and the standard quartic
 dense-output interpolant, so trajectories are sampled on a fixed stride
 without constraining the step sequence.  Radius collapse (r < r_min)
 terminates the trajectory with a recorded reason instead of raising.
+
+The stepper runs on Python floats: the state, the seven stages and every
+weighted sum are lists of floats, accumulated per component in tableau
+order, and numpy is used only to assemble the returned Trajectory.  Each
+run also counts its work (IntegratorStats, on Trajectory.stats).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .errors import DomainError, StepLimitExceeded
 
 __all__ = [
-    "PolarState", "IntegratorConfig", "Trajectory", "integrate",
+    "PolarState", "IntegratorConfig", "IntegratorStats", "Trajectory", "integrate",
     "cartesian_crosscheck", "drift_report", "drift_series", "write_csv",
 ]
 
@@ -37,15 +42,16 @@ _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 # fifth-order minus embedded fourth-order weights
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # dense-output polynomial: y(t0 + x h) = y0 + h * (K^T P) @ (x, x^2, x^3, x^4)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_P_COLS = tuple(zip(*_P))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -88,6 +94,19 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """Work counters of one integration; h_min/h_max span the accepted
+    steps (None when no step was accepted)."""
+
+    accepted: int
+    rejected: int
+    domain_retries: int
+    rhs_evals: int
+    h_min: float | None
+    h_max: float | None
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Dense samples (strictly increasing |t - t0|) plus termination reason."""
 
@@ -98,6 +117,7 @@ class Trajectory:
     h_accepted: np.ndarray
     termination: str = "completed"
     label: str = ""
+    stats: IntegratorStats | None = None
 
     def __len__(self):
         return len(self.t)
@@ -117,93 +137,124 @@ class CrosscheckResult:
     l3_drift: float
 
 
+def _dot(weights, ks, c):
+    """0 + w0 ks[0][c] + w1 ks[1][c] + ..., summed in order."""
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        acc += w * k[c]
+    return acc
+
+
 def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                     r_min=0.0):
     """Adaptive DP5(4) over [t0, t_end] (either direction).
 
-    Emits dense samples at `sample_times` (ordered from t0 toward t_end).
-    If r_index is given, component r_index falling below r_min terminates
-    with reason "radius_collapse".  Returns (samples, h_list, termination).
+    The state and the stages are lists of floats and `rhs(t, y)` returns a
+    list.  Emits dense samples at `sample_times` (ordered from t0 toward
+    t_end).  If r_index is given, component r_index falling below r_min
+    terminates with reason "radius_collapse".  Returns the sample columns
+    [t, h_accepted, y_0, ..., y_{n-1}] as lists of floats (no container per
+    sample, so samples add no work for the cyclic GC), the termination
+    reason and IntegratorStats.
     """
     n = len(y0)
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     t = t0
-    y = np.asarray(y0, dtype=float)
+    y = [float(v) for v in y0]
     h = min(cfg.h_init, cfg.h_max, span) if span > 0 else cfg.h_init
     k1 = rhs(t, y)
+    evals = 1
+    accepted = rejected = retries = 0
+    h_lo = h_hi = None
     err_prev = 1.0
-    samples = []
-    hs = []
+    samples = [[] for _ in range(n + 2)]
     si = 0
+
+    def emit(*row):
+        for col, v in zip(samples, row):
+            col.append(v)
+
     if sample_times and sample_times[0] == t0:
-        samples.append((t0, y.copy()))
-        hs.append(0.0)
+        emit(t0, 0.0, *y)
         si = 1
-    steps = 0
-    K = np.empty((7, n))
+
+    def stats():
+        return IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
+
     while direction * (t_end - t) > 0.0:
-        if steps >= cfg.max_steps:
+        if accepted + rejected + retries >= cfg.max_steps:
             raise StepLimitExceeded(
                 f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
-        steps += 1
         h = min(h, cfg.h_max, abs(t_end - t))
         if h <= 1e-14 * max(1.0, abs(t)):
             # non-extendable solution; a small radius means a collision
             if r_index is not None and y[r_index] <= 1000.0 * r_min:
-                return samples, hs, "radius_collapse"
+                return samples, "radius_collapse", stats()
             raise StepLimitExceeded(f"step size underflow at t={t!r}")
         hd = direction * h
+        K = [k1]
         try:
-            K[0] = k1
             for i in range(1, 6):
-                yi = y + hd * sum(_A[i][j] * K[j] for j in range(i))
-                K[i] = rhs(t + _C[i] * hd, yi)
-            y_new = y + hd * sum(_B[j] * K[j] for j in range(6))
+                evals += 1
+                K.append(rhs(t + _C[i] * hd,
+                             [yc + hd * _dot(_A[i], K, c) for c, yc in enumerate(y)]))
+            y_new = [yc + hd * _dot(_B, K, c) for c, yc in enumerate(y)]
             t_new = t + hd
-            K[6] = rhs(t_new, y_new)
+            evals += 1
+            K.append(rhs(t_new, y_new))
         except DomainError:
             # a stage left the admissible region; retry shorter
+            retries += 1
             h *= 0.5
             if h < 1e-12:
                 if r_index is not None and y[r_index] <= 1000.0 * r_min:
-                    return samples, hs, "radius_collapse"
+                    return samples, "radius_collapse", stats()
                 raise
             continue
-        err_vec = hd * sum(_E[j] * K[j] for j in range(7))
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        sq = 0.0
+        for c in range(n):
+            a, b = abs(y[c]), abs(y_new[c])
+            q = hd * _dot(_E, K, c) / (cfg.atol + cfg.rtol * (a if a > b else b))
+            sq += q * q
+        err = math.sqrt(sq / n)
         if err > 1.0 or not math.isfinite(err):
             if not math.isfinite(err):
                 factor = _MIN_FACTOR
             else:
                 factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
+            rejected += 1
             h *= factor
             continue
+        accepted += 1
+        h_lo = h if h_lo is None else min(h_lo, h)
+        h_hi = h if h_hi is None else max(h_hi, h)
         # accepted: dense-emit every sample inside (t, t_new]
-        Q = K.T @ _P
+        Q = None
         collapsed = False
         while si < len(sample_times) and direction * (sample_times[si] - t_new) <= 1e-14 * max(1.0, abs(t_new)):
+            if Q is None:
+                Q = [[_dot(col, K, c) for col in _P_COLS] for c in range(n)]
             ts = sample_times[si]
             x = (ts - t) / hd
-            px = np.array([x, x * x, x**3, x**4])
-            ysamp = y + hd * (Q @ px)
+            px = (x, x * x, x**3, x**4)
+            ysamp = [yc + hd * (q[0] * px[0] + q[1] * px[1] + q[2] * px[2] + q[3] * px[3])
+                     for yc, q in zip(y, Q)]
             if r_index is not None and ysamp[r_index] < r_min:
                 collapsed = True
                 break
-            samples.append((ts, ysamp))
-            hs.append(h)
+            emit(ts, h, *ysamp)
             si += 1
         if collapsed or (r_index is not None and
-                         (y_new[r_index] < r_min or not np.all(np.isfinite(y_new)))):
-            return samples, hs, "radius_collapse"
+                         (y_new[r_index] < r_min or not all(map(math.isfinite, y_new)))):
+            return samples, "radius_collapse", stats()
         # PI step-size update
         err = max(err, 1e-10)  # keep the controller finite on exact hits
         factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
         err_prev = err
         t, y, k1 = t_new, y_new, K[6]
         h *= factor
-    return samples, hs, "completed"
+    return samples, "completed", stats()
 
 
 def _sample_grid(t0: float, t_end: float, stride: float) -> list[float]:
@@ -233,17 +284,15 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
         r = y[0]
         if guard and r <= 0.0:
             raise DomainError("r <= 0 during step")
-        return np.array([y[1], -fam.dU_dr(t, r), L3 * r**-2 if L3 else 0.0])
+        return [y[1], -fam.dU_dr(t, r), L3 * r**-2 if L3 else 0.0]
 
     grid = _sample_grid(s0.t, t_end, cfg.stride)
-    y0 = np.array([s0.r, s0.rdot, s0.theta])
-    samples, hs, term = _core_integrate(
-        rhs, s0.t, y0, t_end, cfg, grid,
+    samples, term, stats = _core_integrate(
+        rhs, s0.t, (s0.r, s0.rdot, s0.theta), t_end, cfg, grid,
         r_index=0 if guard else None, r_min=cfg.r_min)
-    ts = np.array([s[0] for s in samples])
-    ys = np.array([s[1] for s in samples])
-    return Trajectory(ts, ys[:, 0], ys[:, 1], ys[:, 2], np.array(hs),
-                      termination=term, label=getattr(fam, "label", ""))
+    ts, hs, r, rdot, theta = map(np.array, samples)
+    return Trajectory(ts, r, rdot, theta, hs, termination=term,
+                      label=getattr(fam, "label", ""), stats=stats)
 
 
 def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
@@ -263,27 +312,25 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
         if r <= 0.0:
             raise DomainError("r <= 0 during step")
         a = -fam.dV_dr(t, r) / r
-        return np.array([y[2], y[3], a * y[0], a * y[1]])
+        return [y[2], y[3], a * y[0], a * y[1]]
 
     thdot0 = fam.L3 / s0.r**2
     c, s = math.cos(s0.theta), math.sin(s0.theta)
-    y0 = np.array([
+    y0 = (
         s0.r * c,
         s0.r * s,
         s0.rdot * c - s0.r * thdot0 * s,
         s0.rdot * s + s0.r * thdot0 * c,
-    ])
+    )
     grid = _sample_grid(s0.t, t_end, cfg.stride)
-    samples, hs, term = _core_integrate(rhs, s0.t, y0, t_end, cfg, grid)
-    ts = np.array([p[0] for p in samples])
-    ys = np.array([p[1] for p in samples])
-    x, yy, vx, vy = ys[:, 0], ys[:, 1], ys[:, 2], ys[:, 3]
+    samples, term, stats = _core_integrate(rhs, s0.t, y0, t_end, cfg, grid)
+    ts, hs, x, yy, vx, vy = map(np.array, samples)
     r = np.hypot(x, yy)
     rdot = (x * vx + yy * vy) / r
     theta = np.unwrap(np.arctan2(yy, x))
     theta += s0.theta - theta[0]
-    cart = Trajectory(ts, r, rdot, theta, np.array(hs), termination=term,
-                      label=getattr(fam, "label", ""))
+    cart = Trajectory(ts, r, rdot, theta, hs, termination=term,
+                      label=getattr(fam, "label", ""), stats=stats)
 
     m = min(len(ref), len(cart))
     xr = ref.r[:m] * np.cos(ref.theta[:m])

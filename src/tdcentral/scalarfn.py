@@ -11,10 +11,14 @@ A small closed expression language covers everything required:
 
 Every node can evaluate itself at a float or an ndarray, and can produce
 its derivative as another tree (``.d()``), so n-th derivatives are exact
-up to rounding in evaluation.  Trees are immutable; building functions
-goes through the folding constructors (``add``, ``mul``, ``div``, ...)
-which collapse constants and keep a canonical shape, so structural
-equality is usable in tests.
+up to rounding in evaluation.  An ndarray argument walks the tree
+(``_eval``).  A number runs straight-line Python code that the node
+compiles on its first scalar call and keeps, as ``.d()`` keeps its tree:
+one temporary per distinct subtree, in the walk's evaluation order and
+association, so values and DomainErrors are those of the walk.  Trees are
+immutable; building functions goes through the folding constructors
+(``add``, ``mul``, ``div``, ...) which collapse constants and keep a
+canonical shape, so structural equality is usable in tests.
 
 Domains are explicit: Quotient and Power carry an optional open interval
 for their *input value*; evaluation outside it, or at a zero denominator
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +81,15 @@ class ScalarFn:
     def _diff(self) -> "ScalarFn":
         raise NotImplementedError
 
+    _scalar = None  # compiled scalar evaluator, built on the first scalar call
+
     def __call__(self, t):
         if _is_number(t):
-            return self._eval(float(t))
+            fn = self._scalar
+            if fn is None:
+                fn = _Compiler().function(self)
+                object.__setattr__(self, "_scalar", fn)
+            return fn(float(t))
         return self._eval(np.asarray(t, dtype=float))
 
     def d(self) -> "ScalarFn":
@@ -227,10 +238,11 @@ class Product(ScalarFn):
         return self.factors
 
 
-def _interval_ok(x, lo, hi) -> bool:
-    if isinstance(x, float):
-        return lo < x < hi
-    return bool(np.all((x > lo) & (x < hi)))
+# DomainError messages of Quotient and Power, formatted with the node as f
+_OUTSIDE = "argument outside ({f.lo}, {f.hi}) for {f!r}"
+_ZERO_DENOMINATOR = "zero denominator in {f!r}"
+_NON_POSITIVE_BASE = "non-positive base under exponent {f.expo} in {f!r}"
+_ZERO_BASE = "zero base under exponent {f.expo} in {f!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,11 +255,11 @@ class Quotient(ScalarFn):
     hi: float = math.inf
 
     def _eval(self, t):
-        if not _interval_ok(t, self.lo, self.hi):
-            raise DomainError(f"argument outside ({self.lo}, {self.hi}) for {self!r}")
+        if not np.all((t > self.lo) & (t < self.hi)):
+            raise DomainError(_OUTSIDE.format(f=self))
         dv = self.den._eval(t)
-        if (dv == 0.0) if isinstance(dv, float) else bool(np.any(dv == 0.0)):
-            raise DomainError(f"zero denominator in {self!r}")
+        if np.any(dv == 0.0):
+            raise DomainError(_ZERO_DENOMINATOR.format(f=self))
         return self.num._eval(t) / dv
 
     def _diff(self):
@@ -276,19 +288,15 @@ class Power(ScalarFn):
     hi: float = math.inf
 
     def _eval(self, t):
-        if not _interval_ok(t, self.lo, self.hi):
-            raise DomainError(f"argument outside ({self.lo}, {self.hi}) for {self!r}")
+        if not np.all((t > self.lo) & (t < self.hi)):
+            raise DomainError(_OUTSIDE.format(f=self))
         b = self.base._eval(t)
         p = self.expo
-        scalar = isinstance(b, float)
         if not float(p).is_integer():
-            bad = (b <= 0.0) if scalar else bool(np.any(b <= 0.0))
-            if bad:
-                raise DomainError(f"non-positive base under exponent {p} in {self!r}")
-        elif p < 0:
-            bad = (b == 0.0) if scalar else bool(np.any(b == 0.0))
-            if bad:
-                raise DomainError(f"zero base under exponent {p} in {self!r}")
+            if np.any(b <= 0.0):
+                raise DomainError(_NON_POSITIVE_BASE.format(f=self))
+        elif p < 0 and np.any(b == 0.0):
+            raise DomainError(_ZERO_BASE.format(f=self))
         return b ** p
 
     def _diff(self):
@@ -308,8 +316,7 @@ class Exp(ScalarFn):
     arg: ScalarFn
 
     def _eval(self, t):
-        x = self.arg._eval(t)
-        return math.exp(x) if isinstance(x, float) else np.exp(x)
+        return np.exp(self.arg._eval(t))
 
     def _diff(self):
         return mul(self, self.arg.d())
@@ -599,6 +606,113 @@ class Antiderivative(ScalarFn):
 
     def _children(self):
         return (self.integrand,)
+
+
+# ---------------------------------------------------------------------------
+# compiled scalar evaluation
+# ---------------------------------------------------------------------------
+
+class _Compiler:
+    """Translates one tree into a Python function of a float.
+
+    The function is straight-line code with one temporary per distinct
+    subtree (a subtree's structure, signed zeros told apart, and the
+    argument it is evaluated at), emitted in the order the tree walk
+    evaluates and associates, so it returns the walk's value bit for bit
+    and raises the walk's first DomainError.  Numbers, nodes and messages
+    are bound by name in the function's namespace; no user text enters the
+    source.  Antiderivative nodes and ScalarFn subclasses unknown here are
+    keyed by identity and called through `_eval`, looked up at call time.
+    """
+
+    def __init__(self):
+        self.ns = {"DomainError": DomainError, "_exp": math.exp, "_OUTSIDE": _OUTSIDE,
+                   "_ZERO_DENOMINATOR": _ZERO_DENOMINATOR,
+                   "_NON_POSITIVE_BASE": _NON_POSITIVE_BASE, "_ZERO_BASE": _ZERO_BASE}
+        self.lines, self.tests = [], set()
+        self.names, self.shapes, self.numbers, self.values = {}, {}, {}, {}
+
+    def function(self, root: ScalarFn):
+        result = self.value(root, "t")
+        body = "".join(f"    {line}\n" for line in self.lines)
+        exec(compile(f"def f(t):\n{body}    return {result}\n", "<scalarfn>", "exec"),
+             self.ns)
+        return self.ns.pop("f")  # the namespace must not hold the function
+
+    def bind(self, obj) -> str:
+        """Name of a number (keyed by repr, which tells 0.0 from -0.0 and 1
+        from 1.0) or an expression calling a weak reference to a node.  No
+        strong reference may lead back to the root that keeps the function,
+        or each compiled tree would be garbage only the cyclic GC frees."""
+        if isinstance(obj, ScalarFn):
+            key, obj, call = id(obj), weakref.ref(obj), "()"
+        else:
+            key, call = (type(obj), repr(obj)), ""
+        if key not in self.names:
+            self.names[key] = f"c{len(self.ns)}"
+            self.ns[self.names[key]] = obj
+        return self.names[key] + call
+
+    def number(self, f: ScalarFn) -> int:
+        """Structural identity of a subtree (object identity for opaque nodes)."""
+        if id(f) not in self.numbers:
+            if type(f) in _STRUCTURAL:
+                sig = tuple(tuple(map(self.bind, v)) if isinstance(v, tuple) else self.bind(v)
+                            for v in f._signature())
+                shape = (type(f), sig, tuple(map(self.number, f._children())))
+            else:
+                shape = id(f)
+            self.numbers[id(f)] = self.shapes.setdefault(shape, len(self.shapes))
+        return self.numbers[id(f)]
+
+    def check(self, test: str, message: str, f: ScalarFn) -> None:
+        # a test that passed once passes again: emit each distinct test once
+        if test not in self.tests:
+            self.tests.add(test)
+            self.lines.append(f"if {test}: raise DomainError({message}.format(f={self.bind(f)}))")
+
+    def value(self, f: ScalarFn, x: str) -> str:
+        """Name holding f's value at the argument named x."""
+        kind = type(f)
+        if kind is Const:
+            return self.bind(f.value)
+        if kind is Var:
+            return x
+        if kind is Compose:
+            return self.value(f.outer, self.value(f.inner, x))
+        key = (self.number(f), x)
+        if key in self.values:
+            return self.values[key]
+        if kind in (Quotient, Power):
+            self.check(f"not {self.bind(f.lo)} < {x} < {self.bind(f.hi)}", "_OUTSIDE", f)
+        if kind is Poly:
+            expr = self.bind(f.coeffs[-1])
+            for c in reversed(f.coeffs[:-1]):
+                expr = f"({expr} * {x} + {self.bind(c)})"
+        elif kind in (Sum, Product):
+            expr = (" + " if kind is Sum else " * ").join(
+                [self.value(g, x) for g in f._children()])
+        elif kind is Quotient:
+            den = self.value(f.den, x)
+            self.check(f"{den} == 0.0", "_ZERO_DENOMINATOR", f)
+            expr = f"{self.value(f.num, x)} / {den}"
+        elif kind is Power:
+            base = self.value(f.base, x)
+            if not float(f.expo).is_integer():
+                self.check(f"{base} <= 0.0", "_NON_POSITIVE_BASE", f)
+            elif f.expo < 0:
+                self.check(f"{base} == 0.0", "_ZERO_BASE", f)
+            expr = f"{base} ** {self.bind(f.expo)}"
+        elif kind is Exp:
+            expr = f"_exp({self.value(f.arg, x)})"
+        else:
+            expr = f"{self.bind(f)}._eval({x})"
+        self.values[key] = name = f"v{len(self.values)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+
+_STRUCTURAL = (Const, Var, Poly, Sum, Product, Quotient, Power, Exp, Compose)
 
 
 # ---------------------------------------------------------------------------

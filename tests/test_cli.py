@@ -78,6 +78,9 @@ class TestConfigKeysNamed:
         ({"a_values": 5}, "a_values"),
         ({"hbar_values": ["x"]}, "hbar_values"),
         ({"b_values": [0.5]}, "b_values"),
+        # well typed, but the residual overflows or divides by hbar^2 = 0
+        ({"a_values": [1e300]}, "a_values"),
+        ({"hbar_values": [1e-300]}, "hbar_values"),
     ])
     def test_radial_mode_values(self, tmp_path, capsys, spec, key):
         path = write_config(tmp_path, {"radial-mode": spec})
@@ -146,6 +149,10 @@ class TestSimulate:
         assert csv[0] == "t,r,rdot,theta,h_accepted"
         assert len(csv) == payload["samples"] + 1
         assert json.loads((out / "drift.json").read_text()) == payload
+        counts = payload["integrator"]
+        assert counts["accepted"] > 0 and counts["domain_retries"] == 0
+        assert counts["rhs_evals"] == 6 * (counts["accepted"] + counts["rejected"]) + 1
+        assert 0.0 < counts["h_min"] <= counts["h_max"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, oscillator_config())

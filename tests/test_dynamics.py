@@ -252,3 +252,184 @@ class TestCsv:
         # full-precision decimals round-trip exactly
         got_r = np.array([float(row[1]) for row in rows[1:]])
         assert np.array_equal(got_r, traj.r)
+
+
+# -- the float stepper against the numpy stage arithmetic it replaced --------
+
+def _reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
+                    r_min=0.0):
+    """DP5(4) with the state and the stages as numpy vectors: the loop the
+    float stepper must reproduce step for step."""
+    n = len(y0)
+    direction = 1.0 if t_end >= t0 else -1.0
+    span = abs(t_end - t0)
+    t = t0
+    y = np.asarray(y0, dtype=float)
+    h = min(cfg.h_init, cfg.h_max, span) if span > 0 else cfg.h_init
+    k1 = rhs(t, y)
+    err_prev = 1.0
+    samples, hs = [], []
+    si = 0
+    if sample_times and sample_times[0] == t0:
+        samples.append((t0, y.copy()))
+        hs.append(0.0)
+        si = 1
+    P = np.array(dyn._P)
+    K = np.empty((7, n))
+    while direction * (t_end - t) > 0.0:
+        h = min(h, cfg.h_max, abs(t_end - t))
+        if h <= 1e-14 * max(1.0, abs(t)):
+            assert r_index is not None and y[r_index] <= 1000.0 * r_min
+            return samples, hs, "radius_collapse"
+        hd = direction * h
+        try:
+            K[0] = k1
+            for i in range(1, 6):
+                yi = y + hd * sum(dyn._A[i][j] * K[j] for j in range(i))
+                K[i] = rhs(t + dyn._C[i] * hd, yi)
+            y_new = y + hd * sum(dyn._B[j] * K[j] for j in range(6))
+            t_new = t + hd
+            K[6] = rhs(t_new, y_new)
+        except DomainError:
+            h *= 0.5
+            if h < 1e-12:
+                assert r_index is not None and y[r_index] <= 1000.0 * r_min
+                return samples, hs, "radius_collapse"
+            continue
+        err_vec = hd * sum(dyn._E[j] * K[j] for j in range(7))
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        if err > 1.0 or not math.isfinite(err):
+            h *= (dyn._MIN_FACTOR if not math.isfinite(err) else
+                  max(dyn._MIN_FACTOR, dyn._SAFETY * err ** -dyn._ALPHA))
+            continue
+        Q = K.T @ P
+        collapsed = False
+        while si < len(sample_times) and direction * (sample_times[si] - t_new) \
+                <= 1e-14 * max(1.0, abs(t_new)):
+            ts = sample_times[si]
+            x = (ts - t) / hd
+            ysamp = y + hd * (Q @ np.array([x, x * x, x**3, x**4]))
+            if r_index is not None and ysamp[r_index] < r_min:
+                collapsed = True
+                break
+            samples.append((ts, ysamp))
+            hs.append(h)
+            si += 1
+        if collapsed or (r_index is not None and
+                         (y_new[r_index] < r_min or not np.all(np.isfinite(y_new)))):
+            return samples, hs, "radius_collapse"
+        err = max(err, 1e-10)
+        factor = min(dyn._MAX_FACTOR,
+                     dyn._SAFETY * err ** -dyn._ALPHA * err_prev ** dyn._BETA)
+        err_prev = err
+        # a copy: a view of K[6] would turn into a rejected attempt's last
+        # stage, the stale FSAL stage the numpy loop started retries from
+        t, y, k1 = t_new, y_new, K[6].copy()
+        h *= factor
+    return samples, hs, "completed"
+
+
+def _reference_integrate(fam, s0, t_end, cfg):
+    def rhs(t, y):
+        r = y[0]
+        if r <= 0.0:
+            raise DomainError("r <= 0 during step")
+        return np.array([y[1], -fam.dU_dr(t, r),
+                         fam.L3 * r**-2 if fam.L3 else 0.0])
+
+    grid = dyn._sample_grid(s0.t, t_end, cfg.stride)
+    samples, hs, term = _reference_core(
+        rhs, s0.t, np.array([s0.r, s0.rdot, s0.theta]), t_end, cfg, grid,
+        r_index=0, r_min=cfg.r_min)
+    ys = np.array([s[1] for s in samples])
+    return np.array([s[0] for s in samples]), ys, np.array(hs), term
+
+
+# the simulate-ensemble presets, with the acceptance fixtures' parameters
+ENSEMBLE = (
+    ("scaled-kepler", {"phi": "(sqrt (poly 1 0 1))", "k": 1.0, "L3": 0.5}, 1.2, 0.2),
+    ("oscillator", {"g1": "(poly 1 0 1)", "c0": 0.0, "L3": 1.0}, 1.0, 0.0),
+    ("yukawa", {"k": 1.0, "b0": 1.0, "b1": 0.5, "b2": 0.25, "L3": 0.6}, 1.5, 0.1),
+    ("interatomic", {"k1": 1.0, "k2": 1.0, "m": 12.0, "n": 6.0, "b0": 1.0,
+                     "b1": 0.5, "b2": 0.25, "L3": 0.2}, 1.12, 0.0),
+    ("generalized-kepler", {"nu": 1.0, "k": 1.0, "b0": 1.0, "L3": 1.0}, 1.4, 0.0),
+    ("linear-lfi", {"g2": "(poly 1 0 0.1)", "g": "(* 0.2 t)", "L3": 0.8}, 2.0, 0.1),
+)
+
+
+def stepper_cases():
+    cases = [pytest.param(pot.preset(name, **params).family,
+                          PolarState(0.0, r, rdot), 8.0, IntegratorConfig(),
+                          id=name)
+             for name, params, r, rdot in ENSEMBLE]
+    kepler = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.1).family
+    plunge = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.0).family
+    return cases + [
+        pytest.param(cross_profile_family(), PolarState(500.0, 1.0, 0.0), 505.0,
+                     IntegratorConfig(), id="cross-profile-from-500"),
+        pytest.param(cross_profile_family(), PolarState(3.0, 1.0, 0.1), 0.0,
+                     IntegratorConfig(), id="backward"),
+        # loose tolerance and a long first step: stages cross r = 0 near
+        # pericentre, so the run retries on DomainError and rejects steps
+        pytest.param(kepler, PolarState(0.0, 1.0, 0.0), 3.0,
+                     IntegratorConfig(rtol=1e-3, atol=1e-3, h_init=0.5),
+                     id="domain-retry"),
+        pytest.param(plunge, PolarState(0.0, 1.0, 0.0), 2.0, IntegratorConfig(),
+                     id="radius-collapse"),
+    ]
+
+
+class TestFloatStepper:
+    @pytest.mark.parametrize("fam,s0,t_end,cfg", stepper_cases())
+    def test_matches_numpy_reference(self, fam, s0, t_end, cfg):
+        traj = dyn.integrate(fam, s0, t_end, cfg)
+        ts, ys, hs, term = _reference_integrate(fam, s0, t_end, cfg)
+        # the step sequence is bit-identical ...
+        assert traj.t.tolist() == ts.tolist()
+        assert traj.h_accepted.tolist() == hs.tolist()
+        assert traj.termination == term
+        # ... and only the dense output's sums are reassociated
+        for got, want in ((traj.r, ys[:, 0]), (traj.rdot, ys[:, 1]),
+                          (traj.theta, ys[:, 2])):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_rejected_step_leaves_first_stage_intact(self):
+        # a retry must start from rhs(t, y), not from the rejected attempt's
+        # last stage; with that stale stage this run drifted 0.118
+        fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.1).family
+        traj = dyn.integrate(fam, PolarState(0.0, 1.0, 0.0), 3.0,
+                             IntegratorConfig(rtol=1e-5, atol=1e-5, h_init=0.5))
+        assert traj.stats.rejected > 0
+        assert dyn.drift_report(traj, fi.first_integral(fam)) <= 1e-2
+
+    def test_reference_cases_cover_retries_and_rejections(self):
+        params = {p.id: p.values for p in stepper_cases()}
+        stats = dyn.integrate(*params["domain-retry"]).stats
+        assert stats.domain_retries > 0 and stats.rejected > 0
+        assert dyn.integrate(*params["radius-collapse"]).termination == "radius_collapse"
+
+
+class TestIntegratorStats:
+    def test_rhs_evals_without_retries(self):
+        fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.1).family
+        traj = dyn.integrate(fam, PolarState(0.0, 1.0, 0.0), 3.0,
+                             IntegratorConfig(rtol=1e-5, atol=1e-5))
+        st = traj.stats
+        assert st.domain_retries == 0 and st.rejected > 0
+        assert st.rhs_evals == 6 * (st.accepted + st.rejected) + 1
+        steps = traj.h_accepted[1:]
+        assert st.h_min <= steps.min() and st.h_max >= steps.max()
+
+    def test_deterministic(self):
+        fam = cross_profile_family()
+        runs = [dyn.integrate(fam, PolarState(0.0, 1.2, 0.1), 2.0).stats
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0].accepted > 0 and runs[0].h_min <= runs[0].h_max
+
+    def test_crosscheck_carries_stats(self):
+        res = dyn.cartesian_crosscheck(eccentric_kepler(), PolarState(0.0, 1.4, 0.0), 2.0)
+        st = res.trajectory.stats
+        assert st.domain_retries == 0
+        assert st.rhs_evals == 6 * (st.accepted + st.rejected) + 1

@@ -1,6 +1,8 @@
 """Scalar-function algebra: evaluation, exact derivatives, quadrature, text form."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -385,3 +387,178 @@ class TestOperators:
         assert sf.mul(sf.const(1), sf.T) == sf.T
         assert sf.poly(3.0) == sf.const(3.0)
         assert sf.poly(0, 1) == sf.T
+
+
+# -- compiled scalar evaluation against the recursive float walk -------------
+
+def walk(f, t):
+    """The recursive float evaluation the compiled code replaced, with its
+    DomainError messages; Antiderivative keeps its own float lookup."""
+    kind = type(f)
+    if kind is sf.Const:
+        return f.value
+    if kind is sf.Var:
+        return t
+    if kind is sf.Poly:
+        acc = f.coeffs[-1]
+        for c in reversed(f.coeffs[:-1]):
+            acc = acc * t + c
+        return acc
+    if kind in (sf.Sum, sf.Product):
+        parts = f.terms if kind is sf.Sum else f.factors
+        acc = walk(parts[0], t)
+        for g in parts[1:]:
+            acc = acc + walk(g, t) if kind is sf.Sum else acc * walk(g, t)
+        return acc
+    if kind is sf.Quotient:
+        if not f.lo < t < f.hi:
+            raise DomainError(f"argument outside ({f.lo}, {f.hi}) for {f!r}")
+        dv = walk(f.den, t)
+        if dv == 0.0:
+            raise DomainError(f"zero denominator in {f!r}")
+        return walk(f.num, t) / dv
+    if kind is sf.Power:
+        if not f.lo < t < f.hi:
+            raise DomainError(f"argument outside ({f.lo}, {f.hi}) for {f!r}")
+        b = walk(f.base, t)
+        p = f.expo
+        if not float(p).is_integer():
+            if b <= 0.0:
+                raise DomainError(f"non-positive base under exponent {p} in {f!r}")
+        elif p < 0:
+            if b == 0.0:
+                raise DomainError(f"zero base under exponent {p} in {f!r}")
+        return b ** p
+    if kind is sf.Exp:
+        return math.exp(walk(f.arg, t))
+    if kind is sf.Compose:
+        return walk(f.outer, walk(f.inner, t))
+    if kind is sf.Antiderivative:
+        return f._eval(t)
+    raise TypeError(kind)
+
+
+def outcome(evaluate, t):
+    """repr of the value (tells -0.0 and nan apart), or the error raised."""
+    try:
+        return repr(evaluate(t))
+    except (DomainError, ToleranceNotMet, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def assert_compiled_matches_walk(f, points):
+    for t in points:
+        assert outcome(f, t) == outcome(lambda x: walk(f, x), t), (f, t)
+
+
+def family_trees():
+    """A, B, C, P, Q and F of every preset, the CLI's default cross-profile
+    family (whose Q holds an Antiderivative) and the driven 1-d system, with
+    their derivatives to third order."""
+    from tdcentral import potentials as pot
+    from tdcentral.cli import _default_driven_1d, _default_family, _family_from
+    fams = [(name, pot.preset(name).family) for name, _ in pot.catalog()]
+    fams += [("cross-profile", _default_family()),
+             ("driven-1d", _family_from(_default_driven_1d()["system"]))]
+    out = []
+    for name, fam in fams:
+        for attr in ("_A", "_B", "_C", "_P", "_Q", "F"):
+            g = getattr(fam, attr)
+            for order in range(4):
+                out.append(pytest.param(g, id=f"{name}-{attr}-d{order}"))
+                g = g.d()
+    return out
+
+
+POINTS = [float(t) for t in np.linspace(-3.0, 12.0, 31)] + [
+    0.0, -0.0, 1e-300, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+
+
+class TestCompiledScalar:
+    @pytest.mark.parametrize("f", family_trees())
+    def test_family_trees_bit_identical(self, f):
+        assert_compiled_matches_walk(f, POINTS)
+
+    @pytest.mark.parametrize("f", [f for f, _ in fn_pool()])
+    def test_pool_bit_identical(self, f):
+        assert_compiled_matches_walk(f, POINTS)
+
+    def test_signed_zero_subtrees_not_merged(self):
+        # (t * 0.0) * (t * -0.0): merging the factors would give +0.0
+        pos = sf.Product((sf.T, sf.Const(0.0)))
+        neg = sf.Product((sf.T, sf.Const(-0.0)))
+        f = sf.Product((pos, neg))
+        assert repr(f(1.0)) == repr(walk(f, 1.0)) == "-0.0"
+        g = sf.Sum((sf.Exp(pos), sf.Quotient(sf.Const(1.0), sf.Exp(neg))))
+        assert_compiled_matches_walk(g, POINTS)
+
+    @pytest.mark.parametrize("f,t", [
+        (sf.div(1, sf.poly(-1, 1)), 1.0),                        # zero denominator
+        (sf.sqrt(sf.poly(0, 1)), -1.0),                          # non-positive base
+        (sf.sqrt(sf.poly(0, 1)), 0.0),
+        (sf.power(sf.T, -2), 0.0),                               # zero base
+        (sf.div(1, sf.T, (0, 2)), 2.0),                          # interval bounds
+        (sf.power(sf.T, 0.5, (0, 2)), 0.0),
+        (sf.compose(sf.power(sf.T, -2, (0, math.inf)), sf.poly(-1, 1)), 0.5),
+        (sf.div(1, sf.poly(1, 0, 1)), math.nan),                 # NaN argument
+        (sf.antiderivative(sf.div(1, sf.poly(1, 0, 1))), math.nan),
+    ])
+    def test_domain_edges_raise_the_walks_error(self, f, t):
+        got = outcome(f, t)
+        assert got[0] is DomainError
+        assert got == outcome(lambda x: walk(f, x), t)
+
+    def test_repeated_subtrees_evaluated_once(self):
+        a = sf.poly(1, 0, 1)
+        f = sf.add(sf.mul(a, sf.sqrt(a)), sf.div(a, sf.sqrt(a)))
+        compiler = sf._Compiler()
+        compiler.function(f)
+        assert sum("* t +" in line for line in compiler.lines) == 1  # one Horner line
+        assert f(0.7) == walk(f, 0.7)
+
+    def test_compiled_once_per_node(self):
+        f = sf.sqrt(sf.poly(1, 0, 1))
+        f(1.0)
+        fn = f._scalar
+        f(2.0)
+        assert f._scalar is fn and sf.sqrt(sf.poly(1, 0, 1))._scalar is None
+
+    @pytest.mark.parametrize("build", [lambda: sf.div(1, sf.poly(1, 0, 1)),
+                                       lambda: sf.antiderivative(cross_integrand())])
+    def test_compiled_tree_freed_by_reference_counting(self, build):
+        # the compiled function must not lead back to its root: a cycle
+        # leaves every op's trees to the cyclic GC, whose pauses set the tail
+        f = build()
+        f(0.5)
+        refs = [weakref.ref(f), weakref.ref(f._scalar)]
+        gc.disable()
+        try:
+            del f
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_antiderivative_lookup_resolved_at_call_time(self, monkeypatch):
+        F = sf.antiderivative(cross_integrand(), 0.0)
+        f = sf.mul(2.0, F)
+        want = f(1.5)
+        seen = []
+        original = sf.Antiderivative._eval
+
+        def spy(self, t):
+            seen.append(t)
+            return original(self, t)
+        monkeypatch.setattr(sf.Antiderivative, "_eval", spy)
+        assert f(1.5) == want and seen == [1.5]
+
+    def test_unknown_subclass_uses_its_eval(self):
+        inner = CountingFn(sf.poly(0, 2))
+        f = sf.add(sf.exp(inner), 1.0)
+        assert f(0.25) == math.exp(0.5) + 1.0
+        assert inner.calls == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees, st.floats(-4.0, 4.0))
+def test_compiled_random_trees_match_walk(f, t):
+    assert_compiled_matches_walk(f, [t, 0.0, -0.0])
