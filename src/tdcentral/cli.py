@@ -83,36 +83,44 @@ def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
     raise ConfigError(f"{where}: key {key!r} must be a number or expression text")
 
 
-def _family_from(node, where: str = "config.family"):
+def _only(node: dict, keys, where: str) -> None:
+    """Reject the first key of node that is not one of `keys`, naming it."""
+    extra = set(node) - set(keys)
+    if extra:
+        raise ConfigError(f"{where}: unknown key {sorted(extra)[0]!r}")
+
+
+# inline kinds: class, profile keys (the first required), float keys
+_KINDS = {
+    "linear": (pot.FamilyA, ("g2", "g"), ("L3",)),
+    "quadratic": (pot.FamilyB, ("g1", "g2", "F"), ("L3", "t0")),
+    "driven-1d": (pot.LewisLeach1d, ("rho", "alpha", "Omega", "F1", "G"), ("k",)),
+}
+
+
+def _family_from(node, span, where: str = "config.family"):
+    """The family a config node describes, its defining profile checked on
+    the closed time span (a pair, in either order) that the command uses."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
     try:
         if "preset" in node:
+            _only(node, ("preset", "params", "perturb"), where)
             name = _get(node, "preset", str, where=where)
             params = _get(node, "params", dict, {}, where)
             fam = pot.preset(name, **params).family
         else:
             kind = _get(node, "kind", str, where=where)
-            if kind == "linear":
-                fam = pot.FamilyA(_scalar(node, "g2", where=where),
-                                  _scalar(node, "g", 0.0, where),
-                                  _get(node, "L3", float, 0.0, where))
-            elif kind == "quadratic":
-                fam = pot.FamilyB(_scalar(node, "g1", where=where),
-                                  _scalar(node, "g2", 0.0, where),
-                                  _scalar(node, "F", 0.0, where),
-                                  _get(node, "L3", float, 0.0, where),
-                                  _get(node, "t0", float, 0.0, where))
-            elif kind == "driven-1d":
-                fam = pot.LewisLeach1d(_scalar(node, "rho", where=where),
-                                       _scalar(node, "alpha", 0.0, where),
-                                       _scalar(node, "Omega", 0.0, where),
-                                       _scalar(node, "F1", 0.0, where),
-                                       _scalar(node, "G", 0.0, where),
-                                       _get(node, "k", float, 0.0, where))
-            else:
+            if kind not in _KINDS:
                 raise ConfigError(f"{where}: unknown kind {kind!r}")
-    except (UnknownPreset, InvalidParameters, DomainError, TypeError) as e:
+            cls, profiles, floats = _KINDS[kind]
+            _only(node, ("kind", "perturb", *profiles, *floats), where)
+            fam = cls(*(_scalar(node, key, 0.0 if i else _MISSING, where)
+                        for i, key in enumerate(profiles)),
+                      *(_get(node, key, float, 0.0, where) for key in floats))
+        fam.check_span(*span)
+    except (UnknownPreset, InvalidParameters, DomainError, ParseError,
+            TypeError) as e:
         raise ConfigError(f"{where}: {e}") from e
     # deliberate cubic defect for negative-control runs
     if "perturb" in node:
@@ -124,6 +132,7 @@ def _family_from(node, where: str = "config.family"):
 def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
+    _only(node, ("t", "r", "rdot", "theta"), where)
     try:
         return dyn.PolarState(_get(node, "t", float, 0.0, where),
                               _get(node, "r", float, where=where),
@@ -138,15 +147,10 @@ def _integrator_from(node, where: str = "config.integrator"):
         return None
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
-    kwargs = {}
-    for key in ("rtol", "atol", "h_init", "h_max", "stride", "r_min"):
-        if key in node:
-            kwargs[key] = _get(node, key, float, where=where)
-    if "max_steps" in node:
-        kwargs["max_steps"] = _get(node, "max_steps", int, where=where)
-    extra = set(node) - set(kwargs)
-    if extra:
-        raise ConfigError(f"{where}: unknown key {sorted(extra)[0]!r}")
+    kinds = {**dict.fromkeys(("rtol", "atol", "h_init", "h_max", "stride",
+                              "r_min"), float), "max_steps": int}
+    _only(node, kinds, where)
+    kwargs = {key: _get(node, key, kinds[key], where=where) for key in node}
     try:
         return dyn.IntegratorConfig(**kwargs)
     except ValueError as e:
@@ -220,13 +224,15 @@ def _default_driven_1d():
 
 
 def _suite_pde(cfg, seed):
-    fam = _family_from(cfg["family"]) if "family" in cfg else _default_family()
-    return vf.pde_residuals(fam, _plan_from(cfg.get("plan"), seed))
+    plan = _plan_from(cfg.get("plan"), seed)
+    fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
+    return vf.pde_residuals(fam, plan)
 
 
 def _suite_noether(cfg, seed):
-    fam = _family_from(cfg["family"]) if "family" in cfg else _default_family()
-    return vf.noether_check(fam, _plan_from(cfg.get("plan"), seed))
+    plan = _plan_from(cfg.get("plan"), seed)
+    fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
+    return vf.noether_check(fam, plan)
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -280,12 +286,12 @@ def _suite_closed_form(cfg, seed):
 def _suite_ermakov(cfg, seed):
     spec = {**_default_driven_1d(), **_section(cfg, "ermakov")}
     where = "config.ermakov"
-    fam = _family_from(spec["system"], where + ".system")
+    s0 = _state_from(spec["initial"], where + ".initial")
+    t_end = _get(spec, "t_end", float, where=where)
+    fam = _family_from(spec["system"], (s0.t, t_end), where + ".system")
     if not isinstance(fam, pot.LewisLeach1d):
         raise ConfigError(f"{where}.system: must have kind 'driven-1d'")
-    s0 = _state_from(spec["initial"], where + ".initial")
-    return vf.lewis_leach_report(fam, s0, _get(spec, "t_end", float,
-                                               where=where))
+    return vf.lewis_leach_report(fam, s0, t_end)
 
 
 def _suite_orbit(cfg, seed):
@@ -296,12 +302,12 @@ def _suite_orbit(cfg, seed):
         phi = _scalar(case, "phi", where=where)
         k = _get(case, "k", float, 1.0, where)
         L3 = _get(case, "L3", float, 0.0, where)
+        s0 = _state_from(case.get("initial", {}), where + ".initial")
+        t_end = _get(case, "t_end", float, where=where)
         fam = _family_from({"preset": "scaled-kepler",
                             "params": {"phi": case.get("phi", "1"), "k": k,
-                                       "L3": L3}}, where)
-        traj = dyn.integrate(fam, _state_from(case.get("initial", {}),
-                                              where + ".initial"),
-                             _get(case, "t_end", float, where=where))
+                                       "L3": L3}}, (s0.t, t_end), where)
+        traj = dyn.integrate(fam, s0, t_end)
         dev = vf.orbit_angle_check(phi, k, L3, traj)
         tol = _get(case, "tolerance", float, 1e-7, where)
         name = case.get("name", f"case-{i}")
@@ -385,9 +391,11 @@ def cmd_simulate(args) -> int:
     if not args.config:
         raise ConfigError("simulate requires --config")
     cfg = _load_config(args.config)
-    fam = _family_from(_get(cfg, "family", dict))
+    _only(cfg, ("family", "initial", "t_end", "integrator", "drift_tolerance"),
+          "config")
     s0 = _state_from(_get(cfg, "initial", dict))
     t_end = _get(cfg, "t_end", float)
+    fam = _family_from(_get(cfg, "family", dict), (s0.t, t_end))
     icfg = _integrator_from(cfg.get("integrator"))
     tol = _get(cfg, "drift_tolerance", float, 1e-7)
     traj = dyn.integrate(fam, s0, t_end, icfg)
@@ -470,16 +478,16 @@ def cmd_binary(args) -> int:
     r0 = _get(cfg, "r0", float, 1.0, where)
     periods = _get(cfg, "periods", float, 10.0, where)
     tol = _get(cfg, "tolerance", float, 1e-9, where)
-    try:
-        preset = pot.preset("binary", G=G, b0=float(braw[0]), b1=float(braw[1]),
-                            b2=float(braw[2]), L3=_get(cfg, "L3", float,
-                                                       math.sqrt(G * r0), where))
-    except InvalidParameters as e:
-        raise ConfigError(f"config: {e}") from e
-    fam = preset.family
+    for key, value in (("G", G), ("r0", r0)):
+        if not value > 0.0:
+            raise ConfigError(f"config: key {key!r} must be positive")
+    t_end = periods * 2.0 * math.pi * math.sqrt(r0**3 / G)
+    fam = _family_from({"preset": "binary", "params": {
+        "G": G, "b0": float(braw[0]), "b1": float(braw[1]), "b2": float(braw[2]),
+        "L3": _get(cfg, "L3", float, math.sqrt(G * r0), where)}},
+        (0.0, t_end), where)
     # circular speed for the t = 0 mass; exact when the mass is constant
     s0 = dyn.PolarState(0.0, r0, 0.0)
-    t_end = periods * 2.0 * math.pi * math.sqrt(r0**3 / G)
     traj = dyn.integrate(fam, s0, t_end)
     energy = fi.reduced_energy_integral(fam)
     e_drift = dyn.drift_report(traj, energy)

@@ -15,9 +15,9 @@ Evaluated here from explicit profiles:
     scale-oscillator: I = (phi rdot - phi' r)^2/2 + r^2 phi^2 thdot^2/2
                     + K r^2/(2 phi^2)
 
-plus the angular momentum L3 = r^2 thdot and the reduced energy
-rdot^2/2 + U(t,r).  j_nu and scale_oscillator take thetadot explicitly;
-j_nu_integral binds L3 and evaluates j_nu at thetadot = L3/r^2.
+plus the reduced energy rdot^2/2 + U(t,r).  j_nu and scale_oscillator take
+thetadot explicitly; j_nu_integral binds the angular momentum L3 = r^2 thdot
+and evaluates j_nu at thetadot = L3/r^2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .potentials import _CentralFamily, omega_profile
 from .scalarfn import as_fn
 
 __all__ = [
-    "j_nu", "scale_oscillator", "angular_momentum",
+    "j_nu", "scale_oscillator",
     "reduced_energy", "FirstIntegral", "first_integral",
     "j_nu_integral", "reduced_energy_integral",
 ]
@@ -56,11 +56,6 @@ def scale_oscillator(phi, K: float, t, r, rdot, thetadot):
     return (0.5 * (pv * rdot - pd * r) ** 2
             + 0.5 * r * r * pv * pv * thetadot * thetadot
             + 0.5 * K * r * r / (pv * pv))
-
-
-def angular_momentum(r, thetadot):
-    """L3 = r^2 thetadot."""
-    return r * r * thetadot
 
 
 def reduced_energy(fam, t, r, rdot):

@@ -31,9 +31,14 @@ central families, the auxiliary function K(t,r) with its partials.  All
 time profiles are ScalarFn trees, so every partial is evaluated from an
 exact derivative tree rather than finite differences.
 
+A family exists only where its defining profile is regular (g2 != 0,
+g1 > 0, rho > 0); `fam.check_span(lo, hi)` raises InvalidParameters when
+that fails on the closed span a caller integrates or samples.
+
 `preset(name, ...)` builds the named physical instances (oscillator,
 generalized Kepler, shrinking/expanding Kepler orbit family, variable-mass
-binary, screened Coulomb, pair potential, ...) on top of the two families.
+binary, screened Coulomb, pair potential, ...) on top of the two families;
+it checks parameter types, not profiles.
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ import inspect
 import math
 import numbers
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import scalarfn as sf
 from .errors import DomainError, InvalidParameters, UnknownPreset
@@ -65,12 +72,65 @@ def _check_radius(r):
         raise DomainError("radius must be positive")
 
 
+_MAX_DEGREE = 32  # a larger polynomial takes the sampled test
+
+
+def _coeffs(f: ScalarFn):
+    """Coefficients of f, lowest order first, when f is a polynomial in t of
+    degree at most _MAX_DEGREE with finite coefficients: constants, t and
+    Poly nodes joined by sums, products and integer powers; otherwise None."""
+    if isinstance(f, sf.Const):
+        c = [f.value]
+    elif isinstance(f, (sf.Var, sf.Poly)):
+        c = getattr(f, "coeffs", [0.0, 1.0])  # Var is the polynomial t
+    elif isinstance(f, (sf.Sum, sf.Product)):
+        parts = [_coeffs(g) for g in f._children()]
+        if any(c is None for c in parts):
+            return None
+        c = reduce(npoly.polyadd if isinstance(f, sf.Sum) else npoly.polymul, parts)
+    elif isinstance(f, sf.Power) and f.expo in range(2, _MAX_DEGREE + 1) \
+            and (f.lo, f.hi) == (-math.inf, math.inf):
+        c = _coeffs(f.base)
+        if c is None:
+            return None
+        c = npoly.polypow(c, int(f.expo), _MAX_DEGREE)
+    else:
+        return None
+    c = np.array(c, dtype=float)
+    return c if len(c) <= _MAX_DEGREE + 1 and np.isfinite(c).all() else None
+
+
 class _CentralFamily:
     """U = A(t) r^2 + B(t) r + C(t) F(P(t) r + Q(t)) with its exact partials,
     and V = U - L3^2/(2 r^2); each family supplies its trees to `_potential`.
     """
 
     radial = True  # coordinate restricted to r > 0
+
+    def check_span(self, lo, hi):
+        """Raise InvalidParameters if the profile named by `defining` has a
+        zero (or, when flagged positive, a negative value) on the closed span.
+        A polynomial is tested at the span ends and its real roots, any other
+        tree at 65 samples, where a DomainError also counts as invalid."""
+        name, positive = self.defining
+        f = getattr(self, name)
+        lo, hi = sorted((float(lo), float(hi)))
+        where = f"{self.label}: profile {name} = {sf.to_text(f)} on [{lo:.12g}, {hi:.12g}]"
+        c = _coeffs(f)
+        ts = np.linspace(lo, hi, 65) if c is None else np.sort(
+            [lo, hi, *(x.real for x in npoly.polyroots(c) if lo <= x.real <= hi)])
+        try:
+            vals = np.broadcast_to(f(ts), ts.shape)
+        except DomainError as e:
+            raise InvalidParameters(f"{where}: {e}") from e
+        tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
+        bad = (np.abs(vals) <= tol) & np.isfinite(vals) | (np.sign(vals) != np.sign(vals[0]))
+        if bad.any():
+            at = "at or before" if c is None else "at"
+            raise InvalidParameters(f"{where}: vanishes {at} t = {ts[bad.argmax()] + 0.0:.12g}")
+        if positive and vals[0] < 0.0:
+            raise InvalidParameters(
+                f"{where}: must be positive, is {vals[0]:.12g} at t = {lo:.12g}")
 
     def _potential(self, A, B, C, F, P, Q):
         A, B, C, self.F, P, Q = map(as_fn, (A, B, C, F, P, Q))
@@ -137,12 +197,13 @@ class _CentralFamily:
 class FamilyA(_CentralFamily):
     """Potential admitting a linear invariant g2*rdot - g2'*r + g.
 
-    g2 must not vanish on the working interval; evaluation raises
-    DomainError at a zero of g2 whenever a division by g2 survives in the
-    coefficient trees (a zero numerator folds to the exact zero limit).
+    g2 must not vanish on the span of a run (`check_span`); evaluation
+    raises DomainError at a zero of g2 whenever a division by g2 survives in
+    the coefficient trees (a zero numerator folds to the exact zero limit).
     """
 
     kind = "linear-invariant"
+    defining = ("g2", False)
 
     def __init__(self, g2, g=0.0, L3: float = 0.0, label: str = "family-a"):
         self.g2 = as_fn(g2)
@@ -182,6 +243,7 @@ class FamilyB(_CentralFamily):
     """
 
     kind = "quadratic-invariant"
+    defining = ("g1", True)
 
     def __init__(self, g1, g2=0.0, F=0.0, L3: float = 0.0, t0: float = 0.0,
                  quad: sf.QuadratureConfig | None = None, label: str = "family-b"):
@@ -245,6 +307,7 @@ class LewisLeach1d(_CentralFamily):
     """
 
     kind = "lewis-leach-invariant"
+    defining = ("rho", True)
     radial = False
 
     def __init__(self, rho, alpha=0.0, Omega=0.0, F1=0.0, G=0.0, k: float = 0.0,
@@ -383,89 +446,43 @@ class Preset:
     description: str
 
 
-def _positive_quadratic(b0, b1, b2, interval, what):
-    """Exact positivity check of b0 + b1 t + b2 t^2 on [lo, hi]."""
-    lo, hi = interval
-    q = lambda t: b0 + b1 * t + b2 * t * t
-    worst = min(q(lo), q(hi))
-    if b2 != 0.0:
-        tv = -b1 / (2.0 * b2)
-        if lo <= tv <= hi and b2 > 0.0:
-            worst = min(worst, q(tv))
-    if worst <= 0.0:
-        raise InvalidParameters(
-            f"{what}: b0 + b1 t + b2 t^2 must stay positive on {interval}")
-
-
-def _positive_fn(f: ScalarFn, interval, what, n=65):
-    lo, hi = interval
-    ts = np.linspace(lo, hi, n)
-    try:
-        vals = f(ts)
-    except DomainError as e:
-        raise InvalidParameters(f"{what}: profile invalid on {interval}: {e}") from e
-    if np.any(np.asarray(vals) <= 0.0):
-        raise InvalidParameters(f"{what}: profile must stay positive on {interval}")
-
-
-def _nonzero_fn(f: ScalarFn, interval, what, n=65):
-    lo, hi = interval
-    ts = np.linspace(lo, hi, n)
-    try:
-        vals = np.asarray(f(ts))
-    except DomainError as e:
-        raise InvalidParameters(f"{what}: profile invalid on {interval}: {e}") from e
-    if np.any(vals == 0.0) or np.any(vals[:-1] * vals[1:] < 0.0):
-        raise InvalidParameters(f"{what}: profile must not vanish on {interval}")
-
-
 def _build_free_particle(L3=0.0):
     return FamilyA(1.0, 0.0, L3, label="free-particle")
 
 
-def _build_linear_lfi(g2="(poly 1 0 0.1)", g="0", L3=0.0, interval=(0.0, 10.0)):
-    fam = FamilyA(g2, g, L3, label="linear-lfi")
-    _nonzero_fn(fam.g2, interval, "linear-lfi")
-    return fam
+def _build_linear_lfi(g2="(poly 1 0 0.1)", g="0", L3=0.0):
+    return FamilyA(g2, g, L3, label="linear-lfi")
 
 
-def _build_oscillator(g1="(poly 1 0 1)", c0=0.0, L3=0.0, interval=(0.0, 10.0)):
-    g1 = as_fn(g1)
-    _positive_fn(g1, interval, "oscillator")
+def _build_oscillator(g1="(poly 1 0 1)", c0=0.0, L3=0.0):
     return FamilyB(g1, 0.0, oscillator_shape(c0, L3), L3, label="oscillator")
 
 
 def _build_generalized_kepler(nu=1.0, k=1.0, b0=1.0, b1=0.0, b2=0.0, L3=0.0,
-                              interval=(0.0, 10.0), label="generalized-kepler"):
-    _positive_quadratic(b0, b1, b2, interval, label)
+                              label="generalized-kepler"):
     g1 = sf.poly(0.5 * b0, 0.5 * b1, 0.5 * b2)
     return FamilyB(g1, 0.0, kepler_shape(nu, k, b0, b1, b2, L3), L3, label=label)
 
 
-def _build_scaled_kepler(phi="(sqrt (poly 1 0 1))", k=1.0, L3=0.0,
-                         interval=(0.0, 10.0)):
-    phi = as_fn(phi)
-    _positive_fn(phi, interval, "scaled-kepler")
-    g1 = sf.mul(0.5, sf.power(phi, 2))
+def _build_scaled_kepler(phi="(sqrt (poly 1 0 1))", k=1.0, L3=0.0):
+    g1 = sf.mul(0.5, sf.power(as_fn(phi), 2))
     return FamilyB(g1, 0.0, scaled_kepler_shape(k), L3, label="scaled-kepler")
 
 
-def _build_binary(G=1.0, b0=1.0, b1=0.0, b2=0.0, L3=0.0, interval=(0.0, 10.0)):
-    return _build_generalized_kepler(1.0, G, b0, b1, b2, L3, interval, label="binary")
+def _build_binary(G=1.0, b0=1.0, b1=0.0, b2=0.0, L3=0.0):
+    return _build_generalized_kepler(1.0, G, b0, b1, b2, L3, label="binary")
 
 
-def _build_yukawa(k=1.0, b0=1.0, b1=0.0, b2=0.0, L3=0.0, interval=(0.0, 10.0)):
-    _positive_quadratic(b0, b1, b2, interval, "yukawa")
+def _build_yukawa(k=1.0, b0=1.0, b1=0.0, b2=0.0, L3=0.0):
     c1 = b1 * b1 - 4.0 * b2 * b0
     g1 = sf.poly(b0, b1, b2)
     return FamilyB(g1, 0.0, yukawa_shape(k, c1, L3), L3, label="yukawa")
 
 
 def _build_interatomic(k1=1.0, k2=1.0, m=12.0, n=6.0, b0=1.0, b1=0.0, b2=0.0,
-                       L3=0.0, interval=(0.0, 10.0)):
+                       L3=0.0):
     if m <= 0 or n <= 0:
         raise InvalidParameters("interatomic: exponents m, n must be positive")
-    _positive_quadratic(b0, b1, b2, interval, "interatomic")
     c1 = b1 * b1 - 4.0 * b2 * b0
     g1 = sf.poly(b0, b1, b2)
     return FamilyB(g1, 0.0, interatomic_shape(k1, k2, m, n, c1, L3), L3,
@@ -473,10 +490,8 @@ def _build_interatomic(k1=1.0, k2=1.0, m=12.0, n=6.0, b0=1.0, b1=0.0, b2=0.0,
 
 
 def _build_lewis_leach(rho="(sqrt (poly 1 0 1))", alpha="0", Omega="0", F1="0",
-                       G="(* 0.5 (pow t -2 0 inf))", k=1.0, interval=(0.0, 10.0)):
-    fam = LewisLeach1d(rho, alpha, Omega, F1, G, k)
-    _positive_fn(fam.rho, interval, "lewis-leach")
-    return fam
+                       G="(* 0.5 (pow t -2 0 inf))", k=1.0):
+    return LewisLeach1d(rho, alpha, Omega, F1, G, k)
 
 
 _REGISTRY = {
@@ -525,32 +540,19 @@ def preset(name: str, **params) -> Preset:
         builder, description = _REGISTRY[name]
     except KeyError:
         raise UnknownPreset(name) from None
-    sig = inspect.signature(builder)
-    unknown = set(params) - set(sig.parameters)
+    sig = inspect.signature(builder).parameters
+    unknown = set(params) - set(sig)
     if unknown:
         raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
-    defaults = {key: p.default for key, p in sig.parameters.items()}
-    family = builder(**{key: _param(name, key, value, defaults.get(key))
-                        for key, value in params.items()})
+    for key, value in params.items():  # a numeric default takes a number
+        if isinstance(sig[key].default, float) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise InvalidParameters(f"{name}: parameter {key!r} must be a number")
+    try:
+        family = builder(**params)
+    except DomainError as e:  # a constant profile outside its domain
+        raise InvalidParameters(f"{name}: {e}") from e
     return Preset(name, family, params, description)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _param(name: str, key: str, value, default):
-    """A preset parameter checked against the type of its builder default;
-    the validity interval comes back as a (lo, hi) pair of floats."""
-    if key == "interval":
-        if not (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(_is_real(v) for v in value)):
-            raise InvalidParameters(
-                f"{name}: parameter 'interval' must be a pair [lo, hi] of numbers")
-        return float(value[0]), float(value[1])
-    if isinstance(default, float) and not _is_real(value):
-        raise InvalidParameters(f"{name}: parameter {key!r} must be a number")
-    return value
 
 
 def catalog() -> list[tuple[str, str]]:

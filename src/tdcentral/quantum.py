@@ -26,6 +26,8 @@ from .scalarfn import ScalarFn, as_fn
 __all__ = ["laguerre", "WavefunctionParams", "radial_amplitude",
            "radial_mode_residual", "wavefunction"]
 
+MAX_NODES = 1000  # largest node count b: the recurrence costs b steps per radius
+
 
 def laguerre(a: float, b: int, R: float) -> float:
     """Generalized Laguerre value L_b^{(a)}(R) by the three-term recurrence.
@@ -63,8 +65,9 @@ class WavefunctionParams:
     """Mode parameters plus the scale profile phi(t).
 
     a is any real > -1 (keeps the amplitude regular at R = 0); b counts
-    radial nodes.  The derived coupling k is what the matching potential
-    preset must use, so classical and quantum checks share one constant.
+    radial nodes, at most MAX_NODES.  The derived coupling k is what the
+    matching potential preset must use, so classical and quantum checks
+    share one constant.
     """
 
     a: float
@@ -79,8 +82,9 @@ class WavefunctionParams:
     def __post_init__(self):
         if self.a <= -1.0:
             raise InvalidParameters("order parameter a must exceed -1")
-        if self.b < 0 or float(self.b) != int(self.b):
-            raise InvalidParameters("node count b must be a nonnegative integer")
+        if not 0 <= self.b <= MAX_NODES or float(self.b) != int(self.b):
+            raise InvalidParameters(
+                f"node count b must be an integer in [0, {MAX_NODES}]")
         if self.hbar <= 0.0:
             raise InvalidParameters("hbar must be positive")
         object.__setattr__(self, "b", int(self.b))

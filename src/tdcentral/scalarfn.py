@@ -54,7 +54,7 @@ __all__ = [
     "Power", "Exp", "Compose", "Antiderivative",
     "T", "const", "poly", "add", "sub", "mul", "neg", "div",
     "power", "sqrt", "exp", "compose", "antiderivative", "as_fn",
-    "deriv", "integrate", "QuadratureConfig", "to_text", "parse",
+    "integrate", "QuadratureConfig", "to_text", "parse",
 ]
 
 
@@ -872,16 +872,6 @@ def antiderivative(integrand, t0: float = 0.0,
         return Const(0.0)
     return Antiderivative(integrand, float(t0),
                           cfg if cfg is not None else QuadratureConfig())
-
-
-def deriv(f: ScalarFn, order: int, t):
-    """Evaluate the order-th derivative (order in {1, 2, 3}) of f at t."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    g = f
-    for _ in range(order):
-        g = g.d()
-    return g(t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tdcentral.cli import main
+from tdcentral.quantum import MAX_NODES
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -43,13 +44,57 @@ class TestConfigKeysNamed:
         assert main(["verify", "--suite", "orbit", "--config", path]) == 2
         assert "config.orbit: key 'cases'" in capsys.readouterr().err
 
-    def test_preset_interval_not_a_pair(self, tmp_path, capsys):
+    def test_preset_interval_is_unknown(self, tmp_path, capsys):
+        # profiles are checked on the run span; there is no interval knob
         cfg = oscillator_config()
-        cfg["family"]["params"]["interval"] = 5
+        cfg["family"]["params"]["interval"] = [0, 10]
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert "config.family" in err and "'interval'" in err
+        assert "config.family: oscillator: unknown parameters ['interval']" in err
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "tolerance"),
+        ("family", "bogus"),
+        ("family", "kind"),
+        ("initial", "thetadot"),
+        ("integrator", "tol"),
+    ])
+    def test_simulate_unknown_key(self, tmp_path, capsys, section, key):
+        cfg = oscillator_config()
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = 1
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        where = "config" if section is None else f"config.{section}"
+        assert f"{where}: unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,key", [
+        ({"kind": "linear", "g2": "1", "g1": "1"}, "g1"),
+        ({"kind": "linear", "g2": "1", "bogus": 1}, "bogus"),
+        ({"kind": "quadratic", "g1": "1", "rho": "1"}, "rho"),
+        ({"kind": "driven-1d", "rho": "1", "L3": 0.5}, "L3"),
+    ])
+    def test_inline_family_unknown_key(self, tmp_path, capsys, family, key):
+        cfg = oscillator_config(family=family)
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        assert f"config.family: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_inline_family_keys_accepted(self, tmp_path, capsys):
+        cfg = oscillator_config(t_end=1.0, family={
+            "kind": "quadratic", "g1": "(poly 1 0 1)", "g2": "0", "F": "0",
+            "L3": 0.5, "t0": 0.0, "perturb": 0.0})
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 0
+        capsys.readouterr()
+
+    def test_preset_profile_not_parsed(self, tmp_path, capsys):
+        cfg = oscillator_config()
+        cfg["family"]["params"]["g1"] = "(poly 1"
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config.family:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("preset,key,value", [
         ("oscillator", "c0", "abc"),
@@ -73,6 +118,30 @@ class TestConfigKeysNamed:
         err = capsys.readouterr().err
         assert "config.family: free-particle: unknown parameters" in err
         assert "'bogus'" in err
+
+    def test_radial_mode_node_cap(self, tmp_path, capsys):
+        spec = {"b_values": [MAX_NODES + 1]}
+        path = write_config(tmp_path, {"radial-mode": spec})
+        assert main(["verify", "--suite", "radial-mode", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config.radial-mode: key 'b_values'" in err
+        assert str(MAX_NODES) in err
+
+    def test_wavefunction_node_cap(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "a": 1.0, "b": MAX_NODES + 1,
+            "grid": {"r": [0.5, 3, 2], "theta": [0.0, 6.0, 3], "t": [0.0, 2.0, 3]}})
+        assert main(["wavefunction", "--config", path,
+                     "--out", str(tmp_path / "wf")]) == 2
+        err = capsys.readouterr().err
+        assert "node count b" in err and str(MAX_NODES) in err
+
+    @pytest.mark.parametrize("key,value", [("G", 0), ("r0", -1.0)])
+    def test_binary_non_positive(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {key: value})
+        assert main(["binary", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config: key {key!r} must be positive" in err
 
     @pytest.mark.parametrize("spec,key", [
         ({"a_values": 5}, "a_values"),
@@ -114,6 +183,82 @@ class TestConfigKeysNamed:
         err = capsys.readouterr().err
         assert "config error: config.plan: key 't_range' must be [lo, hi]" in err
         assert err.count("config.plan") == 1
+
+
+class TestRunSpan:
+    """Each family's defining profile is checked on the span the command
+    uses, not on a fixed interval."""
+
+    def run(self, tmp_path, capsys, argv, cfg):
+        path = write_config(tmp_path, cfg)
+        rc = main([*argv, "--config", path])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    def test_zero_after_t_end(self, tmp_path, capsys):
+        cfg = oscillator_config(t_end=0.5)
+        cfg["family"]["params"]["g1"] = "(poly 1 -1)"
+        rc, _ = self.run(tmp_path, capsys, ["simulate"], cfg)
+        assert rc == 0
+
+    def test_zero_inside_span(self, tmp_path, capsys):
+        cfg = oscillator_config(t_end=14.0)
+        cfg["family"]["params"]["g1"] = "(poly 12 -1)"
+        rc, err = self.run(tmp_path, capsys, ["simulate"], cfg)
+        assert rc == 2
+        assert "config.family" in err and "t = 12" in err
+
+    def test_backward_run_span(self, tmp_path, capsys):
+        cfg = oscillator_config(t_end=0.0)
+        cfg["initial"]["t"] = 14.0
+        cfg["family"]["params"]["g1"] = "(poly 12 -1)"
+        rc, err = self.run(tmp_path, capsys, ["simulate"], cfg)
+        assert rc == 2 and "on [0, 14]" in err
+
+    def test_inline_family_checked(self, tmp_path, capsys):
+        cfg = oscillator_config(t_end=2.0, family={"kind": "quadratic",
+                                                   "g1": "(poly 1 -1)"})
+        rc, err = self.run(tmp_path, capsys, ["simulate"], cfg)
+        assert rc == 2
+        assert "config.family" in err and "g1" in err and "t = 1" in err
+
+    def test_root_outside_short_run(self, tmp_path, capsys):
+        # g1 = (1 - 4t + t^2)/2 vanishes at 2 - sqrt 3 ~ 0.268, after t_end
+        cfg = oscillator_config(t_end=0.2, family={
+            "preset": "generalized-kepler",
+            "params": {"nu": 1.0, "k": 1.0, "b0": 1.0, "b1": -4.0, "b2": 1.0,
+                       "L3": 1.0}})
+        cfg["initial"]["r"] = 1.4
+        rc, _ = self.run(tmp_path, capsys, ["simulate"], cfg)
+        assert rc == 0
+
+    def test_plan_range_is_the_span(self, tmp_path, capsys):
+        family = {"preset": "oscillator", "params": {"g1": "(poly 5 -1)"}}
+        rc, _ = self.run(tmp_path, capsys, ["verify", "--suite", "pde"],
+                         {"family": family, "plan": {"count": 50}})
+        assert rc == 0
+        rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "noether"],
+                           {"family": family, "plan": {"t_range": [0, 6]}})
+        assert rc == 2 and "config.family" in err and "t = 5" in err
+
+    def test_orbit_case_span(self, tmp_path, capsys):
+        case = {"phi": "(poly 1 -0.1)", "L3": 0.5, "t_end": 12.0,
+                "initial": {"t": 0.0, "r": 1.2, "rdot": 0.2}}
+        rc, err = self.run(tmp_path, capsys, ["orbit"], {"orbit": {"cases": [case]}})
+        assert rc == 2 and "config.orbit.cases[0]" in err and "t = 10" in err
+
+    def test_ermakov_span(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "ermakov"],
+                           {"ermakov": {"system": {"kind": "driven-1d",
+                                                  "rho": "(poly 1 -0.5)"}}})
+        assert rc == 2 and "config.ermakov.system" in err and "t = 2" in err
+
+    def test_binary_span(self, tmp_path, capsys):
+        # the mass law 1 - t/30 fails at t = 30, inside ten periods (62.8)
+        rc, err = self.run(tmp_path, capsys, ["binary"],
+                           {"b": [1.0, -1.0 / 30.0, 0.0]})
+        assert rc == 2 and "config: binary" in err and "t = 30" in err
 
 
 class TestListPresets:

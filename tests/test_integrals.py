@@ -194,9 +194,15 @@ class TestLewisLeachInvariant:
 
 class TestAngularMomentum:
     def test_values(self):
-        assert fi.angular_momentum(1.0, 1.0) == 1.0
-        assert fi.angular_momentum(2.0, 0.25) == 1.0
-        assert fi.angular_momentum(3.0, -1.0) == -9.0
+        # L3 = r^2 thetadot is the Cartesian x vy - y vx of the polar state
+        for r, rdot, theta, thetadot, L3 in ((1.0, 0.0, 0.0, 1.0, 1.0),
+                                             (2.0, 0.3, 1.1, 0.25, 1.0),
+                                             (3.0, -0.7, 2.5, -1.0, -9.0)):
+            c, s = math.cos(theta), math.sin(theta)
+            vx = rdot * c - r * thetadot * s
+            vy = rdot * s + r * thetadot * c
+            assert r * r * thetadot == L3
+            assert math.isclose(r * c * vy - r * s * vx, L3, rel_tol=1e-14)
 
 
 class TestReducedEnergy:

@@ -295,14 +295,20 @@ class TestPresets:
 
     def test_invalid_profile(self):
         with pytest.raises(InvalidParameters):
-            pot.preset("yukawa", b0=-1.0)
+            pot.preset("yukawa", b0=-1.0).family.check_span(0.0, 10.0)
         with pytest.raises(InvalidParameters):
-            pot.preset("generalized-kepler", b0=1.0, b1=-4.0, b2=1.0,
-                       interval=(0.0, 10.0))
+            pot.preset("generalized-kepler", b0=1.0, b1=-4.0,
+                       b2=1.0).family.check_span(0.0, 10.0)
         with pytest.raises(InvalidParameters):
-            pot.preset("interatomic", m=0.0)
-        with pytest.raises(InvalidParameters):
-            pot.preset("linear-lfi", g2="(poly 0 1)")  # vanishes at t = 0
+            pot.preset("interatomic", m=0.0).family.check_span(0.0, 10.0)
+        with pytest.raises(InvalidParameters):  # vanishes at t = 0
+            pot.preset("linear-lfi", g2="(poly 0 1)").family.check_span(0.0, 10.0)
+
+    def test_preset_does_not_check_profiles(self):
+        fam = pot.preset("oscillator", g1="(poly 1 -1)").family
+        fam.check_span(0.0, 0.5)  # the zero at t = 1 lies outside
+        with pytest.raises(InvalidParameters, match="t = 1"):
+            fam.check_span(0.0, 2.0)
 
     def test_binary_is_kepler_with_unit_exponent(self):
         pb = pot.preset("binary", G=2.0, b0=1.0, b1=0.5, b2=0.25, L3=0.6)
@@ -316,6 +322,57 @@ class TestPresets:
         p = pot.preset("oscillator", c0=0.4, L3=1.0)
         assert p.name == "oscillator"
         assert p.params == {"c0": 0.4, "L3": 1.0}
+
+
+class TestCheckSpan:
+    """Each family checks its defining profile on a closed span."""
+
+    def fails(self, fam, lo, hi):
+        with pytest.raises(InvalidParameters) as info:
+            fam.check_span(lo, hi)
+        return str(info.value)
+
+    def test_zero_at_either_end(self):
+        fam = FamilyB(sf.poly(-2, 1), label="edge")
+        msg = self.fails(fam, 2.0, 5.0)
+        assert "edge: profile g1 = (poly -2 1) on [2, 5]" in msg
+        assert "vanishes at t = 2" in msg
+        assert "vanishes at t = 2" in self.fails(FamilyB(sf.poly(2, -1)), 0.0, 2.0)
+        FamilyB(sf.poly(2, -1)).check_span(0.0, 1.999)
+
+    def test_double_root(self):
+        # (1 - t)^2 touches zero without changing sign
+        assert "vanishes at t = 1" in self.fails(FamilyB(sf.poly(1, -2, 1)), 0.0, 3.0)
+        squared = sf.power(sf.poly(1, -1), 2)
+        assert "vanishes at t = 1" in self.fails(FamilyA(squared), 0.0, 3.0)
+        FamilyB(sf.poly(1, -2, 1)).check_span(1.5, 3.0)
+
+    def test_constant_profile(self):
+        FamilyB(2.0).check_span(-5.0, 5.0)
+        FamilyA(-2.0).check_span(-5.0, 5.0)  # g2 only has to be nonzero
+        msg = self.fails(LewisLeach1d(-2.0), 0.0, 1.0)
+        assert "profile rho = -2" in msg and "must be positive" in msg
+
+    def test_span_excludes_zero(self):
+        fam = FamilyB(sf.poly(12, -1), label="osc")
+        fam.check_span(0.0, 11.5)
+        assert "vanishes at t = 12" in self.fails(fam, 0.0, 14.0)
+
+    def test_backward_span(self):
+        fam = FamilyA(sf.poly(12, -1))
+        assert self.fails(fam, 14.0, 0.0) == self.fails(fam, 0.0, 14.0)
+        fam.check_span(11.5, 0.0)
+
+    def test_domain_error_inside_span(self):
+        fam = FamilyB(sf.sqrt(sf.poly(1, -1)))  # undefined beyond t = 1
+        fam.check_span(0.0, 0.9)
+        with pytest.raises(InvalidParameters, match="profile g1 = .* on \\[0, 2\\]"):
+            fam.check_span(0.0, 2.0)
+
+    def test_sampled_sign_change(self):
+        fam = FamilyA(sf.add(sf.exp(sf.T), -2.0))  # e^t - 2 crosses zero at ln 2
+        fam.check_span(1.0, 3.0)
+        assert "vanishes at or before" in self.fails(fam, 0.0, 3.0)
 
 
 class TestLewisLeach1d:

@@ -95,6 +95,14 @@ class TestWavefunctionParams:
         with pytest.raises(InvalidParameters):
             qm.WavefunctionParams(a=0.0, b=0, hbar=0.0)
 
+    def test_node_count_cap(self):
+        assert qm.WavefunctionParams(a=0.0, b=qm.MAX_NODES).b == qm.MAX_NODES
+        with pytest.raises(InvalidParameters, match=str(qm.MAX_NODES)):
+            qm.WavefunctionParams(a=0.0, b=qm.MAX_NODES + 1)
+        for b in (math.inf, math.nan):
+            with pytest.raises(InvalidParameters):
+                qm.WavefunctionParams(a=0.0, b=b)
+
     def test_scaled_time_quadrature(self):
         # phi = sqrt(1+t^2) gives T(t) = arctan t exactly
         p = qm.WavefunctionParams(a=0.0, b=0, phi=sf.sqrt(sf.poly(1, 0, 1)))
