@@ -272,8 +272,8 @@ def _suite_closed_form(cfg, seed):
     traj = dyn.integrate(fam, s0, 5.0)
     I0 = fam.fi(s0.t, s0.r, s0.rdot)
     c0 = s0.r / fam.g2(s0.t)
-    radius_dev = float(max(abs(vf.closed_form_r(fam, I0, c0, float(t)) - r)
-                           for t, r in zip(traj.t[::10], traj.r[::10])))
+    radius_dev = float(np.max(np.abs(vf.closed_form_r(fam, I0, c0, traj.t[::10])
+                                     - traj.r[::10])))
     kc = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=1.0).family
     ecc = dyn.integrate(kc, dyn.PolarState(0.0, 1.4, 0.0, 0.2), 6.0)
     angle_dev = vf.closed_form_theta(ecc, 1.0)

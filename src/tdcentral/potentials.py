@@ -246,7 +246,7 @@ class FamilyB(_CentralFamily):
     defining = ("g1", True)
 
     def __init__(self, g1, g2=0.0, F=0.0, L3: float = 0.0, t0: float = 0.0,
-                 quad: sf.QuadratureConfig | None = None, label: str = "family-b"):
+                 label: str = "family-b"):
         self.g1 = as_fn(g1)
         self.g2 = as_fn(g2)
         self.L3 = float(L3)
@@ -268,7 +268,7 @@ class FamilyB(_CentralFamily):
             F,
             sf.power(self.g1, -0.5),
             sf.antiderivative(sf.mul(0.5, sf.power(self.g1, -1.5), self.g2),
-                              self.t0, quad))
+                              self.t0))
 
     def fi(self, t, r, rdot):
         """Quadratic invariant of the g1/g2/F family (same s(t,r) as the potential)."""

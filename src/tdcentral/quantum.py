@@ -77,7 +77,7 @@ class WavefunctionParams:
     phi: ScalarFn = 1.0
     t0: float = 0.0
     _phi_d: ScalarFn = field(init=False, repr=False, compare=False)
-    _inv_phi2: ScalarFn = field(init=False, repr=False, compare=False)
+    _T: ScalarFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a <= -1.0:
@@ -90,7 +90,7 @@ class WavefunctionParams:
         object.__setattr__(self, "b", int(self.b))
         object.__setattr__(self, "phi", as_fn(self.phi))
         object.__setattr__(self, "_phi_d", self.phi.d())
-        object.__setattr__(self, "_inv_phi2", sf.power(self.phi, -2))
+        object.__setattr__(self, "_T", sf.antiderivative(self.phi**-2, self.t0))
 
     @property
     def lam(self) -> float:
@@ -113,10 +113,9 @@ class WavefunctionParams:
     def m_is_integer(self) -> bool:
         return abs(self.m - round(self.m)) <= 1e-12
 
-    def scaled_time(self, t: float,
-                    quad: sf.QuadratureConfig | None = None) -> float:
-        """T(t) = int_{t0}^{t} phi^{-2} dtau."""
-        return sf.integrate(self._inv_phi2, self.t0, float(t), quad)
+    def scaled_time(self, t: float) -> float:
+        """T(t) = int_{t0}^{t} phi^{-2} dtau from the shared Antiderivative."""
+        return float(self._T(float(t)))
 
 
 def radial_amplitude(p: WavefunctionParams, R: float) -> float:

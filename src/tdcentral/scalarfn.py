@@ -24,15 +24,14 @@ Domains are explicit: Quotient and Power carry an optional open interval
 for their *input value*; evaluation outside it, or at a zero denominator
 or invalid base, raises DomainError rather than returning NaN/Inf.
 
-Definite integration uses an adaptive Gauss-Legendre pair (10 and 21
-nodes per panel, bisection on the worst panel) and raises ToleranceNotMet
-instead of silently returning a bad value.  Antiderivative nodes make
-t -> integral_{t0}^{t} f of a tree.  They fill a short table of spectral
-panels outward from t0, each accepted by the same 10/21-node gauge and
-twice as wide as the last where f is smooth, and hold the Chebyshev series
-of the integral on each panel.  A lookup is one Clenshaw pass for a float
-or an ndarray alike, its cost does not grow with |t - t0|, and values do
-not depend on evaluation order.
+Integration has one adaptive scheme.  Antiderivative nodes make
+t -> integral_{t0}^{t} f of a tree: a short table of spectral panels,
+filled outward from t0, each accepted by a 10/21-node Gauss-Legendre gauge
+and twice as wide as the last where f is smooth, holds the Chebyshev series
+of the integral.  A lookup is one Clenshaw pass for a float or an ndarray,
+its cost does not grow with |t - t0|, and values do not depend on
+evaluation order.  ``integrate`` is one lookup of a fresh Antiderivative;
+a panel that misses the tolerance raises ToleranceNotMet.
 
 Expressions serialise to a small s-expression text form (``to_text`` /
 ``parse``) with an exact round trip for canonical trees.
@@ -352,9 +351,8 @@ _GL_HIGH_X, _GL_HIGH_W = np.polynomial.legendre.leggauss(21)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and work limit of adaptive quadrature: `integrate`
-    bisects at most max_subdivisions times, and an Antiderivative holds at
-    most max_subdivisions panels on each side of t0."""
+    """Tolerances and work limit of adaptive quadrature: an Antiderivative
+    holds at most max_subdivisions panels on each side of t0."""
 
     rtol: float = 1e-12
     atol: float = 1e-13
@@ -378,46 +376,6 @@ def _panel(f: ScalarFn, a: float, b: float):
     lo = f(m + h * _GL_LOW_X)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), _GL_LOW_X.shape)
     return val, abs(val - h * float(_GL_LOW_W @ lo)), hi
-
-
-def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
-    """Definite integral of f over [a, b] to the configured tolerance.
-
-    Bisects the panel with the largest error estimate until the summed
-    estimate meets max(atol, rtol*|integral|); raises ToleranceNotMet at
-    the subdivision limit.  b < a gives the signed value.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    val, err, _ = _panel(f, a, b)
-    panels = [(err, a, b, val)]
-    for _ in range(cfg.max_subdivisions):
-        total = math.fsum(p[3] for p in panels)
-        toterr = math.fsum(p[0] for p in panels)
-        if toterr <= max(cfg.atol, cfg.rtol * abs(total)):
-            return sign * total
-        panels.sort(key=lambda p: p[0])
-        _, x0, x1, _ = panels.pop()
-        xm = 0.5 * (x0 + x1)
-        vl, el, _ = _panel(f, x0, xm)
-        vr, er, _ = _panel(f, xm, x1)
-        panels.append((el, x0, xm, vl))
-        panels.append((er, xm, x1, vr))
-    total = math.fsum(p[3] for p in panels)
-    toterr = math.fsum(p[0] for p in panels)
-    if toterr <= max(cfg.atol, cfg.rtol * abs(total)):
-        return sign * total
-    raise ToleranceNotMet(
-        f"quadrature error {toterr:.3e} over [{a}, {b}] after "
-        f"{cfg.max_subdivisions} subdivisions (target {max(cfg.atol, cfg.rtol * abs(total)):.3e})")
 
 
 # 21 Gauss-Legendre node values -> Chebyshev coefficients (on [-1, 1]) of the
@@ -872,6 +830,14 @@ def antiderivative(integrand, t0: float = 0.0,
         return Const(0.0)
     return Antiderivative(integrand, float(t0),
                           cfg if cfg is not None else QuadratureConfig())
+
+
+def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
+    """Definite integral of f over [a, b] (signed when b < a): one lookup of
+    the Antiderivative of f from a.  A panel touching an integrable endpoint
+    singularity such as t^-1/2 at 0 never meets the relative tolerance, so
+    such an integral raises ToleranceNotMet."""
+    return float(antiderivative(f, a, cfg)(float(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,8 @@ def rescaled_shape_recovery(phi, Fbar, L3: float, grid=None) -> float:
     return float(worst)
 
 
-def closed_form_r(fam: FamilyA, I: float, c: float, t: float, t0: float = 0.0,
-                  quad: sf.QuadratureConfig | None = None) -> float:
-    """Closed-form radius of the linear family.
+def closed_form_r(fam: FamilyA, I: float, c: float, t, t0: float = 0.0):
+    """Closed-form radius of the linear family at t (a float or an array).
 
     r(t) = g2(t) * (int_{t0}^{t} (I - g)/g2^2 dtau + c); the integration
     constant multiplies g2, which is the placement that actually solves
@@ -208,7 +207,7 @@ def closed_form_r(fam: FamilyA, I: float, c: float, t: float, t0: float = 0.0,
     additive placement g2 * integral + c solves it only when g2' c = 0.
     """
     integrand = sf.div(sf.sub(sf.const(I), fam.g), sf.power(fam.g2, 2))
-    return fam.g2(t) * (sf.integrate(integrand, t0, t, quad) + c)
+    return fam.g2(t) * (sf.antiderivative(integrand, t0)(t) + c)
 
 
 def closed_form_theta(traj: dyn.Trajectory, L3: float,

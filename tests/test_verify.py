@@ -155,6 +155,14 @@ class TestClosedFormR:
                     for t, r in zip(traj.t[::25], traj.r[::25]))
         assert worst <= 1e-8
 
+    def test_array_equals_scalar_calls(self):
+        fam = fam_linear()
+        ts = np.linspace(-1.0, 6.0, 71)
+        got = vf.closed_form_r(fam, 0.4, 1.3, ts)
+        want = [vf.closed_form_r(fam, 0.4, 1.3, float(t)) for t in ts]
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_constant_placement_matters(self):
         fam = fam_linear()
         inside = vf.closed_form_r(fam, I=0.5, c=2.0, t=3.0)
