@@ -1,5 +1,5 @@
-"""Command-line front end: presets, simulation, verification suites, orbits,
-wave modes, and the constant-mass two-body sanity run.
+"""Command-line front end: presets, simulation, verification suites, wave
+modes, and the constant-mass two-body sanity run.
 
 Every subcommand prints a JSON payload (list-presets prints text unless
 --json) and exits 0 on success, 1 when a verification tolerance is missed,
@@ -32,6 +32,7 @@ from .errors import (BranchAmbiguity, ConfigError, DomainError,
 __all__ = ["main", "build_parser"]
 
 _MISSING = object()
+_FLOAT_MAX = sys.float_info.max  # a JSON number beyond it (or NaN) is not finite
 
 
 def _load_config(path: str) -> dict:
@@ -56,6 +57,8 @@ def _get(node: dict, key: str, kind, default=_MISSING, where: str = "config"):
     value = node[key]
     if kind is float and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
+        if not abs(value) <= _FLOAT_MAX:
+            raise ConfigError(f"{where}: key {key!r} must be a finite number")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -65,9 +68,10 @@ def _get(node: dict, key: str, kind, default=_MISSING, where: str = "config"):
 
 
 def _numbers(raw: list, count: int) -> bool:
-    """Whether raw holds exactly `count` numbers (bools excluded)."""
+    """Whether raw holds exactly `count` finite numbers (bools excluded)."""
     return len(raw) == count and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= _FLOAT_MAX for v in raw)
 
 
 def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
@@ -76,10 +80,10 @@ def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
     try:
         if isinstance(value, str):
             return sf.parse(value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return sf.as_fn(float(value))
     except ParseError as e:
         raise ConfigError(f"{where}: key {key!r}: {e}") from e
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return sf.as_fn(_get(node, key, float, value, where))
     raise ConfigError(f"{where}: key {key!r} must be a number or expression text")
 
 
@@ -142,6 +146,14 @@ def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
         raise ConfigError(f"{where}: {e}") from e
 
 
+def _horizon(t0: float, t_end: float, icfg, key: str, where: str) -> None:
+    """Reject, naming `key`, a span that dynamics.check_horizon refuses."""
+    try:
+        dyn.check_horizon(t0, t_end, (icfg or dyn.IntegratorConfig()).stride)
+    except ValueError as e:
+        raise ConfigError(f"{where}: key {key!r}: {e}") from e
+
+
 def _integrator_from(node, where: str = "config.integrator"):
     if node is None:
         return None
@@ -162,6 +174,7 @@ def _plan_from(node, seed, where: str = "config.plan") -> vf.SamplingPlan:
         return vf.SamplingPlan(count=1000, seed=seed)
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
+    _only(node, ("t_range", "r_range", "rdot_range", "count", "seed"), where)
     def pair(key, default):
         raw = _get(node, key, list, list(default), where)
         if not _numbers(raw, 2):
@@ -235,26 +248,31 @@ def _suite_noether(cfg, seed):
     return vf.noether_check(fam, plan)
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """A suite's config section: an object, empty when absent."""
+def _section(cfg: dict, name: str, keys) -> dict:
+    """A suite's config section: an object, empty when absent, with no key
+    outside `keys`."""
     node = cfg.get(name, {})
     if not isinstance(node, dict):
         raise ConfigError(f"config.{name}: must be an object")
+    _only(node, keys, f"config.{name}")
     return node
 
 
-def _cases(cfg: dict, section: str, default: list) -> list:
-    """The `cases` list of a suite's config section; every case an object."""
+def _cases(cfg: dict, section: str, default: list, keys) -> list:
+    """The `cases` list of a suite's config section; each case an object
+    with no key outside `keys`."""
     where = f"config.{section}"
-    cases = _get(_section(cfg, section), "cases", list, default, where)
+    cases = _get(_section(cfg, section, ("cases",)), "cases", list, default, where)
     for i, case in enumerate(cases):
         if not isinstance(case, dict):
             raise ConfigError(f"{where}.cases[{i}]: must be an object")
+        _only(case, keys, f"{where}.cases[{i}]")
     return cases
 
 
 def _suite_rescaling(cfg, seed):
-    cases = _cases(cfg, "rescaling", _default_rescaling_cases())
+    cases = _cases(cfg, "rescaling", _default_rescaling_cases(),
+                   ("phi", "shape", "L3"))
     checks = {}
     for i, case in enumerate(cases, start=1):
         where = f"config.rescaling.cases[{i - 1}]"
@@ -284,10 +302,12 @@ def _suite_closed_form(cfg, seed):
 
 
 def _suite_ermakov(cfg, seed):
-    spec = {**_default_driven_1d(), **_section(cfg, "ermakov")}
+    spec = {**_default_driven_1d(),
+            **_section(cfg, "ermakov", ("system", "initial", "t_end"))}
     where = "config.ermakov"
     s0 = _state_from(spec["initial"], where + ".initial")
     t_end = _get(spec, "t_end", float, where=where)
+    _horizon(s0.t, t_end, None, "t_end", where)
     fam = _family_from(spec["system"], (s0.t, t_end), where + ".system")
     if not isinstance(fam, pot.LewisLeach1d):
         raise ConfigError(f"{where}.system: must have kind 'driven-1d'")
@@ -295,7 +315,8 @@ def _suite_ermakov(cfg, seed):
 
 
 def _suite_orbit(cfg, seed):
-    cases = _cases(cfg, "orbit", _default_orbit_cases())
+    cases = _cases(cfg, "orbit", _default_orbit_cases(),
+                   ("name", "phi", "k", "L3", "initial", "t_end", "tolerance"))
     checks = {}
     for i, case in enumerate(cases, start=1):
         where = f"config.orbit.cases[{i - 1}]"
@@ -304,6 +325,7 @@ def _suite_orbit(cfg, seed):
         L3 = _get(case, "L3", float, 0.0, where)
         s0 = _state_from(case.get("initial", {}), where + ".initial")
         t_end = _get(case, "t_end", float, where=where)
+        _horizon(s0.t, t_end, None, "t_end", where)
         fam = _family_from({"preset": "scaled-kepler",
                             "params": {"phi": case.get("phi", "1"), "k": k,
                                        "L3": L3}}, (s0.t, t_end), where)
@@ -316,7 +338,7 @@ def _suite_orbit(cfg, seed):
 
 
 def _suite_radial_mode(cfg, seed):
-    spec = _section(cfg, "radial-mode")
+    spec = _section(cfg, "radial-mode", ("a_values", "b_values", "hbar_values", "L3"))
     where = "config.radial-mode"
     def values(key, field, default):
         raw = _get(spec, key, list, default, where)
@@ -395,8 +417,9 @@ def cmd_simulate(args) -> int:
           "config")
     s0 = _state_from(_get(cfg, "initial", dict))
     t_end = _get(cfg, "t_end", float)
-    fam = _family_from(_get(cfg, "family", dict), (s0.t, t_end))
     icfg = _integrator_from(cfg.get("integrator"))
+    _horizon(s0.t, t_end, icfg, "t_end", "config")
+    fam = _family_from(_get(cfg, "family", dict), (s0.t, t_end))
     tol = _get(cfg, "drift_tolerance", float, 1e-7)
     traj = dyn.integrate(fam, s0, t_end, icfg)
     invariant = fi.first_integral(fam)
@@ -416,6 +439,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    _only(cfg, ("family", "plan", "rescaling", "orbit", "ermakov", "radial-mode"), "config")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     report = None
     for name in names:
@@ -425,19 +449,13 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_orbit(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    report = _suite_orbit(cfg, args.seed)
-    _emit(args, "orbit.json", report.to_json() + "\n")
-    return 0 if report.passed else 1
-
-
 def cmd_wavefunction(args) -> int:
     if not args.config:
         raise ConfigError("wavefunction requires --config")
     if not args.out:
         raise ConfigError("wavefunction requires --out")
     cfg = _load_config(args.config)
+    _only(cfg, ("a", "b", "hbar", "L3", "phi", "t0", "grid"), "config")
     try:
         p = qm.WavefunctionParams(a=_get(cfg, "a", float),
                                   b=_get(cfg, "b", int),
@@ -448,6 +466,7 @@ def cmd_wavefunction(args) -> int:
     except InvalidParameters as e:
         raise ConfigError(f"config: {e}") from e
     grid = _get(cfg, "grid", dict)
+    _only(grid, ("r", "theta", "t"), "config.grid")
     def axis(key):
         raw = _get(grid, key, list, where="config.grid")
         if not (_numbers(raw, 3) and float(raw[2]).is_integer()
@@ -471,6 +490,7 @@ def cmd_wavefunction(args) -> int:
 def cmd_binary(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     where = "config"
+    _only(cfg, ("G", "b", "r0", "periods", "tolerance", "L3"), where)
     G = _get(cfg, "G", float, 1.0, where)
     braw = _get(cfg, "b", list, [1.0, 0.0, 0.0], where)
     if not _numbers(braw, 3):
@@ -481,7 +501,11 @@ def cmd_binary(args) -> int:
     for key, value in (("G", G), ("r0", r0)):
         if not value > 0.0:
             raise ConfigError(f"config: key {key!r} must be positive")
-    t_end = periods * 2.0 * math.pi * math.sqrt(r0**3 / G)
+    try:
+        t_end = periods * 2.0 * math.pi * math.sqrt(r0**3 / G)
+    except OverflowError:
+        t_end = math.inf
+    _horizon(0.0, t_end, None, "periods", where)
     fam = _family_from({"preset": "binary", "params": {
         "G": G, "b0": float(braw[0]), "b1": float(braw[1]), "b2": float(braw[2]),
         "L3": _get(cfg, "L3", float, math.sqrt(G * r0), where)}},
@@ -521,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           choices=[*_SUITES, "all"])
     p_verify.set_defaults(func=cmd_verify)
-    sub.add_parser("orbit", parents=[common]).set_defaults(func=cmd_orbit)
     sub.add_parser("wavefunction", parents=[common]) \
         .set_defaults(func=cmd_wavefunction)
     sub.add_parser("binary", parents=[common]).set_defaults(func=cmd_binary)

@@ -25,8 +25,10 @@ from .errors import DomainError, StepLimitExceeded
 
 __all__ = [
     "PolarState", "IntegratorConfig", "IntegratorStats", "Trajectory", "integrate",
-    "cartesian_crosscheck", "drift_report", "drift_series", "write_csv",
+    "check_horizon", "cartesian_crosscheck", "drift_report", "drift_series", "write_csv",
 ]
+
+MAX_SAMPLES = 10**6  # longest sample grid of a run: |t_end - t0| / stride
 
 # Dormand-Prince 5(4) tableau (exact rationals)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -271,12 +273,21 @@ def _sample_grid(t0: float, t_end: float, stride: float) -> list[float]:
     return out
 
 
+def check_horizon(t0: float, t_end: float, stride: float) -> None:
+    """Raise ValueError unless 0 < |t_end - t0| <= MAX_SAMPLES * stride (NaN
+    and infinite spans fail); `integrate` checks it before listing samples."""
+    if t_end == t0:
+        raise ValueError("t_end must differ from the initial time")
+    if not abs(t_end - t0) <= MAX_SAMPLES * stride:
+        raise ValueError(f"the run from t = {t0!r} to {t_end!r} needs more than "
+                         f"MAX_SAMPLES = {MAX_SAMPLES} samples of stride {stride!r}")
+
+
 def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Propagate (r, rdot, theta) from s0 to t_end on the family's dynamics."""
     if cfg is None:
         cfg = IntegratorConfig()
-    if t_end == s0.t:
-        raise ValueError("t_end must differ from the initial time")
+    check_horizon(s0.t, t_end, cfg.stride)
     L3 = fam.L3
     guard = getattr(fam, "radial", True)
 

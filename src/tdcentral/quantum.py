@@ -115,7 +115,7 @@ class WavefunctionParams:
 
     def scaled_time(self, t: float) -> float:
         """T(t) = int_{t0}^{t} phi^{-2} dtau from the shared Antiderivative."""
-        return float(self._T(float(t)))
+        return self._T(float(t))
 
 
 def radial_amplitude(p: WavefunctionParams, R: float) -> float:

@@ -1,10 +1,12 @@
 """Exit codes, artifact layout, and byte determinism of the command line."""
 
 import json
+import time
 
 import pytest
 
 from tdcentral.cli import main
+from tdcentral.dynamics import MAX_SAMPLES
 from tdcentral.quantum import MAX_NODES
 
 
@@ -32,7 +34,7 @@ class TestConfigKeysNamed:
     @pytest.mark.parametrize("argv,section", [
         (["verify", "--suite", "rescaling"], "rescaling"),
         (["verify", "--suite", "orbit"], "orbit"),
-        (["orbit"], "orbit"),
+        (["verify", "--suite", "all"], "orbit"),
     ])
     def test_non_object_case(self, tmp_path, capsys, argv, section):
         path = write_config(tmp_path, {section: {"cases": [1]}})
@@ -177,6 +179,56 @@ class TestConfigKeysNamed:
         assert "config.grid: key 'r'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,cfg,where,key", [
+        (["verify", "--suite", "pde"], {"plans": {}}, "config", "plans"),
+        (["verify", "--suite", "pde"], {"plan": {"count": 10, "seeds": 1}},
+         "config.plan", "seeds"),
+        (["verify", "--suite", "rescaling"], {"rescaling": {"case": []}},
+         "config.rescaling", "case"),
+        (["verify", "--suite", "rescaling"],
+         {"rescaling": {"cases": [{"phi": "1", "shape": "0", "l3": 1.0}]}},
+         "config.rescaling.cases[0]", "l3"),
+        (["verify", "--suite", "orbit"],
+         {"orbit": {"cases": [{"t_end": 1.0, "tol": 1e-7}]}},
+         "config.orbit.cases[0]", "tol"),
+        (["verify", "--suite", "ermakov"], {"ermakov": {"stride": 0.1}},
+         "config.ermakov", "stride"),
+        (["verify", "--suite", "radial-mode"], {"radial-mode": {"L": 0.3}},
+         "config.radial-mode", "L"),
+        (["binary"], {"tolerence": 1e-15, "periods": 2.0}, "config", "tolerence"),
+        (["wavefunction"], {"a": 1.0, "b": 1, "c": 0, "grid": {}}, "config", "c"),
+        (["wavefunction"], {"a": 1.0, "b": 1, "grid": {
+            "r": [0.5, 3.0, 2], "theta": [0.0, 6.0, 3], "t": [0.0, 2.0, 3],
+            "phi": [0.0, 1.0, 2]}}, "config.grid", "phi"),
+    ])
+    def test_section_unknown_key(self, tmp_path, capsys, argv, cfg, where, key):
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main([*argv, "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: unknown key {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,cfg,message", [
+        (["simulate"], oscillator_config(t_end=float("nan")), "config: key 't_end'"),
+        (["simulate"], oscillator_config(t_end=10**400), "config: key 't_end'"),
+        (["simulate"], oscillator_config(initial={"r": float("inf"), "rdot": 0.0}),
+         "config.initial: key 'r'"),
+        (["verify", "--suite", "pde"], {"plan": {"t_range": [0.0, float("nan")]}},
+         "config.plan: key 't_range'"),
+        (["binary"], {"periods": float("-inf")}, "config: key 'periods'"),
+        (["wavefunction"], {"a": 1.0, "b": 1, "phi": float("nan"), "grid": {}},
+         "config: key 'phi'"),
+        (["wavefunction"], {"a": 1.0, "b": 1, "grid": {
+            "r": [0.5, float("inf"), 2], "theta": [0.0, 6.0, 3], "t": [0.0, 2.0, 3]}},
+         "config.grid: key 'r'"),
+    ])
+    def test_non_finite_number(self, tmp_path, capsys, argv, cfg, message):
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main([*argv, "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_plan_error_prefixed_once(self, tmp_path, capsys):
         path = write_config(tmp_path, {"plan": {"t_range": [1]}})
         assert main(["verify", "--suite", "pde", "--config", path]) == 2
@@ -245,7 +297,8 @@ class TestRunSpan:
     def test_orbit_case_span(self, tmp_path, capsys):
         case = {"phi": "(poly 1 -0.1)", "L3": 0.5, "t_end": 12.0,
                 "initial": {"t": 0.0, "r": 1.2, "rdot": 0.2}}
-        rc, err = self.run(tmp_path, capsys, ["orbit"], {"orbit": {"cases": [case]}})
+        rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "orbit"],
+                           {"orbit": {"cases": [case]}})
         assert rc == 2 and "config.orbit.cases[0]" in err and "t = 10" in err
 
     def test_ermakov_span(self, tmp_path, capsys):
@@ -259,6 +312,21 @@ class TestRunSpan:
         rc, err = self.run(tmp_path, capsys, ["binary"],
                            {"b": [1.0, -1.0 / 30.0, 0.0]})
         assert rc == 2 and "config: binary" in err and "t = 30" in err
+
+
+    @pytest.mark.parametrize("argv,cfg,message", [
+        (["binary"], {"periods": 1e300}, "config: key 'periods'"),
+        (["binary"], {"r0": 1e200}, "config: key 'periods'"),
+        (["verify", "--suite", "ermakov"], {"ermakov": {"t_end": 1e300}},
+         "config.ermakov: key 't_end'"),
+        (["verify", "--suite", "orbit"],
+         {"orbit": {"cases": [{"phi": "1", "t_end": 1e300,
+                               "initial": {"r": 1.2, "rdot": 0.2}}]}},
+         "config.orbit.cases[0]: key 't_end'"),
+    ])
+    def test_horizon_bounded(self, tmp_path, capsys, argv, cfg, message):
+        rc, err = self.run(tmp_path, capsys, argv, cfg)
+        assert rc == 2 and message in err
 
 
 class TestListPresets:
@@ -331,6 +399,22 @@ class TestSimulate:
         assert main(["simulate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [
+        {"t_end": 1e300},
+        {"t_end": float("inf")},
+        {"t_end": float("nan")},
+        {"t_end": 0.0},                          # empty span
+        {"integrator": {"stride": 1e-9}},        # 1e10 samples
+        {"t_end": -MAX_SAMPLES * 0.01 - 1.0},    # one stride too long
+    ])
+    def test_unbounded_run_returns_at_once(self, tmp_path, capsys, extra):
+        path = write_config(tmp_path, oscillator_config(**extra))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", path]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "config: key 't_end'" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_pde_suite(self, capsys):
@@ -370,11 +454,16 @@ class TestVerify:
 
 class TestOrbit:
     def test_default_cases(self, capsys):
-        assert main(["orbit"]) == 0
+        assert main(["verify", "--suite", "orbit"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"orbit-static-scale", "orbit-growing-scale"}
         for entry in payload.values():
             assert entry["max_residual"] <= 1e-7
+
+    def test_subcommand_removed(self, capsys):
+        # `verify --suite orbit` is the one way to run the orbit cases
+        assert main(["orbit"]) == 2
+        assert "invalid choice: 'orbit'" in capsys.readouterr().err
 
 
 class TestWavefunction:

@@ -107,6 +107,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             dyn.integrate(fam, PolarState(1.0, 1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("t_end", [1e4 + 1e-9, -1e300, math.inf, math.nan])
+    def test_rejects_horizon_beyond_max_samples(self, t_end):
+        # stride 0.01: MAX_SAMPLES samples span exactly 1e4
+        dyn.check_horizon(0.0, 1e4, 0.01)
+        fam = FamilyA(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            dyn.integrate(fam, PolarState(0.0, 1.0, 0.0), t_end)
+
     def test_backward_integration(self):
         fam = FamilyA(1.0, 0.0, 0.0)
         traj = dyn.integrate(fam, PolarState(2.0, 3.0, 1.0), 0.0)
