@@ -185,6 +185,10 @@ def _plan_from(node, seed, where: str = "config.plan") -> vf.SamplingPlan:
                   rdot_range=pair("rdot_range", (-2.0, 2.0)),
                   count=_get(node, "count", int, 1000, where),
                   seed=_get(node, "seed", int, seed, where))
+    if not 1 <= fields["count"] <= dyn.MAX_SAMPLES:
+        raise ConfigError(f"{where}: key 'count' must be in [1, {dyn.MAX_SAMPLES}]")
+    if fields["seed"] < 0:
+        raise ConfigError(f"{where}: key 'seed' must be non-negative")
     try:
         return vf.SamplingPlan(**fields)
     except ValueError as e:
@@ -438,6 +442,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     cfg = _load_config(args.config) if args.config else {}
     _only(cfg, ("family", "plan", "rescaling", "orbit", "ermakov", "radial-mode"), "config")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -472,8 +478,14 @@ def cmd_wavefunction(args) -> int:
         if not (_numbers(raw, 3) and float(raw[2]).is_integer()
                 and raw[2] >= 1):
             raise ConfigError(f"config.grid: key {key!r} must be [lo, hi, count]")
-        return np.linspace(float(raw[0]), float(raw[1]), int(raw[2]))
-    r_axis, theta_axis, t_axis = axis("r"), axis("theta"), axis("t")
+        return float(raw[0]), float(raw[1]), int(raw[2])
+    axes = [axis("r"), axis("theta"), axis("t")]
+    if not min(axes[0][:2]) > 0.0:
+        raise ConfigError("config.grid: key 'r' must be positive")
+    if math.prod(count for _, _, count in axes) > dyn.MAX_SAMPLES:
+        raise ConfigError(f"config.grid: keys 'r', 'theta', 't': more than "
+                          f"{dyn.MAX_SAMPLES} points")
+    r_axis, theta_axis, t_axis = (np.linspace(*spec) for spec in axes)
     rows = ["r,theta,t,re_psi,im_psi,abs_psi"]
     for r in r_axis:
         for theta in theta_axis:

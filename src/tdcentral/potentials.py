@@ -46,6 +46,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -544,10 +545,11 @@ def preset(name: str, **params) -> Preset:
     unknown = set(params) - set(sig)
     if unknown:
         raise InvalidParameters(f"{name}: unknown parameters {sorted(unknown)}")
-    for key, value in params.items():  # a numeric default takes a number
+    for key, value in params.items():  # a numeric default takes a finite double
         if isinstance(sig[key].default, float) and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise InvalidParameters(f"{name}: parameter {key!r} must be a number")
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max):
+            raise InvalidParameters(f"{name}: parameter {key!r} must be a finite number")
     try:
         family = builder(**params)
     except DomainError as e:  # a constant profile outside its domain

@@ -1,9 +1,15 @@
 """Exit codes, artifact layout, and byte determinism of the command line."""
 
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdcentral.cli import main
 from tdcentral.dynamics import MAX_SAMPLES
@@ -111,6 +117,19 @@ class TestConfigKeysNamed:
         err = capsys.readouterr().err
         assert f"config.family: {preset}: parameter {key!r}" in err
 
+    @pytest.mark.parametrize("text", ["NaN", "1e400", "1" + "0" * 400])
+    def test_preset_parameter_not_finite(self, tmp_path, capsys, text):
+        # JSON reads these as nan, inf and an int beyond every double
+        cfg = oscillator_config(t_end=1.0, family={
+            "preset": "scaled-kepler",
+            "params": {"phi": "1", "k": "@K@", "L3": 0.5}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@K@"', text), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.family: scaled-kepler: parameter 'k' must be a finite number" in err
+        assert "Traceback" not in err
+
     def test_preset_unknown_parameter(self, tmp_path, capsys):
         cfg = oscillator_config()
         cfg["family"] = {"preset": "free-particle",
@@ -168,7 +187,8 @@ class TestConfigKeysNamed:
         assert f"config.{section}: must be an object" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("axis", [[0.5, 3, "x"], ["x", 3, 4], [0.5, 3, 0]])
+    @pytest.mark.parametrize("axis", [[0.5, 3, "x"], ["x", 3, 4], [0.5, 3, 0],
+                                      [0.0, 3, 4], [0.5, -1.0, 2]])
     def test_wavefunction_grid_axis(self, tmp_path, capsys, axis):
         path = write_config(tmp_path, {
             "a": 1.0, "b": 1,
@@ -226,6 +246,39 @@ class TestConfigKeysNamed:
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert main([*argv, "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("count", [10**12, MAX_SAMPLES + 1])
+    def test_plan_count_bounded(self, tmp_path, capsys, count):
+        path = write_config(tmp_path, {"plan": {"count": count}})
+        start = time.perf_counter()
+        assert main(["verify", "--suite", "pde", "--config", path]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "config.plan: key 'count'" in err and str(MAX_SAMPLES) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("counts", [(10**12, 1, 1), (1, 1, MAX_SAMPLES + 1),
+                                        (1001, 1000, 1)])
+    def test_wavefunction_grid_bounded(self, tmp_path, capsys, counts):
+        grid = {key: [0.5, 3.0, n] for key, n in zip(("r", "theta", "t"), counts)}
+        path = write_config(tmp_path, {"a": 1.0, "b": 1, "grid": grid})
+        start = time.perf_counter()
+        assert main(["wavefunction", "--config", path,
+                     "--out", str(tmp_path / "wf")]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "config.grid:" in err and str(MAX_SAMPLES) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,cfg,message", [
+        (["--seed", "-1"], {}, "--seed must be non-negative"),
+        ([], {"plan": {"seed": -1}}, "config.plan: key 'seed'"),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv, cfg, message):
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--suite", "pde", "--config", path, *argv]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
@@ -503,6 +556,79 @@ class TestBinary:
         path = write_config(tmp_path, {"tolerance": 1e-15, "periods": 2.0})
         assert main(["binary", "--config", path]) == 1
         capsys.readouterr()
+
+
+# -- property: any plan or grid object exits 0, 1 or 2, never a traceback ----
+
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.just([]), st.just({}))
+_number = st.one_of(st.integers(-10, 10), st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([1e300, -1e300, 10**400]))
+# counts stay small, apart from the values beyond the cap, so that no drawn
+# case starts unbounded work
+_count = st.one_of(st.integers(-2, 2000),
+                   st.sampled_from([MAX_SAMPLES + 1, 10**12, 10**400]))
+_value = st.one_of(st.integers(-3, 3), _number, _count, _junk, st.lists(_number, max_size=4),
+                   st.tuples(_number, _number, _count).map(list))
+
+
+def _span(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+# valid objects; each example then sets one key (or none) to any value
+_plans = st.fixed_dictionaries({}, optional={
+    "t_range": _span(-5.0, 5.0), "r_range": _span(0.1, 5.0),
+    "rdot_range": _span(-5.0, 5.0), "count": st.integers(1, 2000),
+    "seed": st.integers(0, 2**64)})
+_grids = st.fixed_dictionaries({
+    key: st.tuples(_span(*span), st.integers(1, 12)).map(lambda a: [*a[0], a[1]])
+    for key, span in (("r", (0.1, 5.0)), ("theta", (0.0, 7.0)), ("t", (-5.0, 5.0)))})
+
+
+def _run_cli(argv, cfg):
+    """Exit code and stderr of one in-process run on a config object; an
+    exception escaping main is what the command line shows as a traceback."""
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+def assert_exit_contract(argv, cfg, where, key):
+    rc, err = _run_cli(argv, cfg)
+    assert rc in (0, 1, 2) and "Traceback" not in err
+    if rc == 2:  # only the changed key can be at fault, and the message names it
+        assert key is not None and f"config error: {where}: " in err, err
+        assert repr(key) in err or f"{where}: {key} " in err, err
+
+
+@settings(max_examples=50, deadline=None)
+@given(_plans, st.sampled_from([None, "t_range", "r_range", "rdot_range", "count",
+                                "seed", "bogus"]), _value)
+@example({}, "count", 10**12)
+@example({}, "count", MAX_SAMPLES + 1)
+@example({}, "seed", -1)
+@example({}, "r_range", [0.0, 1.0])
+def test_plan_objects_keep_exit_contract(plan, key, value):
+    if key is not None:
+        plan[key] = value
+    assert_exit_contract(["verify", "--suite", "pde"], {"plan": plan},
+                         "config.plan", key)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_grids, st.sampled_from([None, "r", "theta", "t", "phi"]), _value)
+@example({"r": [0.5, 1.0, 2], "theta": [0.0, 1.0, 2]}, "t", [0.0, 1.0, 10**12])
+@example({"r": [0.5, 1.0, 1001], "theta": [0.0, 1.0, 1000]}, "t", [0.0, 1.0, 1])
+def test_grid_objects_keep_exit_contract(grid, key, value):
+    if key is not None:
+        grid[key] = value
+    assert_exit_contract(["wavefunction"], {"a": 1.0, "b": 1, "grid": grid},
+                         "config.grid", key)
 
 
 class TestUsage:

@@ -293,6 +293,11 @@ class TestPresets:
         with pytest.raises(InvalidParameters):
             pot.preset("oscillator", omega=2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_parameter(self, value):
+        with pytest.raises(InvalidParameters, match="scaled-kepler: parameter 'k'"):
+            pot.preset("scaled-kepler", k=value)
+
     def test_invalid_profile(self):
         with pytest.raises(InvalidParameters):
             pot.preset("yukawa", b0=-1.0).family.check_span(0.0, 10.0)

@@ -293,7 +293,7 @@ class CountingFn(sf.ScalarFn):
 
     def _eval(self, t):
         self.calls += 1
-        return self.f._eval(t)
+        return self.f(t)
 
 
 class TestSpectralPanels:
@@ -494,6 +494,51 @@ def walk(f, t):
     raise TypeError(kind)
 
 
+def array_walk(f, t):
+    """The recursive ndarray evaluation the compiled array code replaced
+    (the nodes' former `_eval` methods), with their DomainError messages;
+    Antiderivative and unknown subclasses keep their own `_eval`."""
+    kind = type(f)
+    if kind is sf.Const:
+        return f.value
+    if kind is sf.Var:
+        return t
+    if kind is sf.Poly:
+        acc = f.coeffs[-1]
+        for c in reversed(f.coeffs[:-1]):
+            acc = acc * t + c
+        return acc
+    if kind in (sf.Sum, sf.Product):
+        parts = f.terms if kind is sf.Sum else f.factors
+        acc = array_walk(parts[0], t)
+        for g in parts[1:]:
+            acc = acc + array_walk(g, t) if kind is sf.Sum else acc * array_walk(g, t)
+        return acc
+    if kind is sf.Quotient:
+        if not np.all((t > f.lo) & (t < f.hi)):
+            raise DomainError(f"argument outside ({f.lo}, {f.hi}) for {f!r}")
+        dv = array_walk(f.den, t)
+        if np.any(dv == 0.0):
+            raise DomainError(f"zero denominator in {f!r}")
+        return array_walk(f.num, t) / dv
+    if kind is sf.Power:
+        if not np.all((t > f.lo) & (t < f.hi)):
+            raise DomainError(f"argument outside ({f.lo}, {f.hi}) for {f!r}")
+        b = array_walk(f.base, t)
+        p = f.expo
+        if not float(p).is_integer():
+            if np.any(b <= 0.0):
+                raise DomainError(f"non-positive base under exponent {p} in {f!r}")
+        elif p < 0 and np.any(b == 0.0):
+            raise DomainError(f"zero base under exponent {p} in {f!r}")
+        return b ** p
+    if kind is sf.Exp:
+        return np.exp(array_walk(f.arg, t))
+    if kind is sf.Compose:
+        return array_walk(f.outer, array_walk(f.inner, t))
+    return f._eval(t)
+
+
 def outcome(evaluate, t):
     """repr of the value (tells -0.0 and nan apart), or the error raised."""
     try:
@@ -505,6 +550,23 @@ def outcome(evaluate, t):
 def assert_compiled_matches_walk(f, points):
     for t in points:
         assert outcome(f, t) == outcome(lambda x: walk(f, x), t), (f, t)
+
+
+def array_outcome(evaluate, t):
+    """Type, shape and repr of the values (tells -0.0 and nan apart), or
+    the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            v = evaluate(t)
+    except (DomainError, ToleranceNotMet, ArithmeticError) as e:
+        return type(e), str(e)
+    return type(v), np.shape(v), repr(np.asarray(v).tolist())
+
+
+def assert_array_matches_walk(f, arrays):
+    for t in arrays:
+        got = array_outcome(f, t)
+        assert got == array_outcome(lambda x: array_walk(f, x), t), (f, t)
 
 
 def family_trees():
@@ -528,6 +590,13 @@ def family_trees():
 
 POINTS = [float(t) for t in np.linspace(-3.0, 12.0, 31)] + [
     0.0, -0.0, 1e-300, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+
+
+# a few points alone, so that a value outside one node's domain does not
+# hide every other value, then whole arrays of several shapes
+ARRAYS = [np.array([t]) for t in (-2.5, 0.0, -0.0, 1e-300, 0.5, 7.0)] + [
+    np.linspace(-3.0, 12.0, 31), np.linspace(0.05, 2.95, 30).reshape(5, 6),
+    np.array(POINTS), np.array(0.7), np.empty(0)]
 
 
 class TestCompiledScalar:
@@ -567,10 +636,28 @@ class TestCompiledScalar:
     def test_repeated_subtrees_evaluated_once(self):
         a = sf.poly(1, 0, 1)
         f = sf.add(sf.mul(a, sf.sqrt(a)), sf.div(a, sf.sqrt(a)))
-        compiler = sf._Compiler()
-        compiler.function(f)
-        assert sum("* t +" in line for line in compiler.lines) == 1  # one Horner line
+        for array in (False, True):
+            compiler = sf._Compiler(array)
+            compiler.function(f)
+            assert sum("* t +" in line for line in compiler.lines) == 1  # one Horner line
         assert f(0.7) == walk(f, 0.7)
+        assert f(np.array([0.7])).tolist() == [walk(f, 0.7)]
+
+    def test_same_shape_shares_code(self):
+        # numbers are bound by name, so trees differing only in their
+        # constants run one code object, each in its own namespace
+        f = sf.sqrt(sf.poly(1, 0, 2), (0, math.inf))
+        g = sf.sqrt(sf.poly(3, 0, 5), (-1, math.inf))
+        ts = np.array([0.5, 1.0])
+        assert (f(1.0), g(1.0)) == (math.sqrt(3.0), math.sqrt(8.0))
+        assert (f(ts).tolist(), g(ts).tolist()) == ([f(0.5), f(1.0)], [g(0.5), g(1.0)])
+        assert f._scalar is not g._scalar and f._array is not g._array
+        assert f._scalar.__code__ is g._scalar.__code__
+        assert f._array.__code__ is g._array.__code__
+        assert f._array.__code__ is not f._scalar.__code__
+        with pytest.raises(DomainError, match="argument outside"):
+            f(np.array([0.5, 0.0]))
+        assert g(np.array([0.0])).tolist() == [math.sqrt(3.0)]
 
     def test_compiled_once_per_node(self):
         f = sf.sqrt(sf.poly(1, 0, 1))
@@ -579,14 +666,17 @@ class TestCompiledScalar:
         f(2.0)
         assert f._scalar is fn and sf.sqrt(sf.poly(1, 0, 1))._scalar is None
 
+    @pytest.mark.parametrize("slot,t", [("_scalar", 0.5), ("_array", np.array([0.5, 1.5]))],
+                             ids=["scalar", "array"])
     @pytest.mark.parametrize("build", [lambda: sf.div(1, sf.poly(1, 0, 1)),
-                                       lambda: sf.antiderivative(cross_integrand())])
-    def test_compiled_tree_freed_by_reference_counting(self, build):
+                                       lambda: sf.antiderivative(cross_integrand())],
+                             ids=["quotient", "antiderivative"])
+    def test_compiled_tree_freed_by_reference_counting(self, build, slot, t):
         # the compiled function must not lead back to its root: a cycle
         # leaves every op's trees to the cyclic GC, whose pauses set the tail
         f = build()
-        f(0.5)
-        refs = [weakref.ref(f), weakref.ref(f._scalar)]
+        f(t)
+        refs = [weakref.ref(f), weakref.ref(getattr(f, slot))]
         gc.disable()
         try:
             del f
@@ -618,3 +708,44 @@ class TestCompiledScalar:
 @given(_trees, st.floats(-4.0, 4.0))
 def test_compiled_random_trees_match_walk(f, t):
     assert_compiled_matches_walk(f, [t, 0.0, -0.0])
+
+
+class TestCompiledArray:
+    """Array evaluation runs the compiled code too; it must return the
+    former tree walk's values bit for bit and raise its first DomainError."""
+
+    @pytest.mark.parametrize("f", family_trees())
+    def test_family_trees_bit_identical(self, f):
+        assert_array_matches_walk(f, ARRAYS)
+
+    @pytest.mark.parametrize("f,window", fn_pool())
+    def test_pool_bit_identical(self, f, window):
+        assert_array_matches_walk(f, ARRAYS + [np.linspace(*window, 23)])
+
+    @pytest.mark.parametrize("f,t", [
+        (sf.div(1, sf.poly(-1, 1)), [0.5, 1.0]),                 # zero denominator
+        (sf.sqrt(sf.poly(0, 1)), [1.0, -1.0]),                   # non-positive base
+        (sf.power(sf.T, -2), [2.0, 0.0]),                        # zero base
+        (sf.div(1, sf.T, (0, 2)), [1.0, 2.0]),                   # interval bounds
+        (sf.compose(sf.power(sf.T, -2, (0, math.inf)), sf.poly(-1, 1)), [2.0, 0.5]),
+        (sf.div(1, sf.poly(1, 0, 1)), [0.0, math.nan]),          # NaN argument
+        (sf.antiderivative(sf.div(1, sf.poly(1, 0, 1))), [0.0, math.nan]),
+    ])
+    def test_domain_edges_raise_the_walks_error(self, f, t):
+        got = array_outcome(f, np.array(t))
+        assert got[0] is DomainError
+        assert got == array_outcome(lambda x: array_walk(f, x), np.array(t))
+
+    def test_unknown_subclass_uses_its_eval(self):
+        inner = CountingFn(sf.poly(0, 2))
+        f = sf.add(sf.exp(inner), sf.mul(inner, inner))
+        ts = np.array([0.25, -0.5])
+        got = f(ts).tolist()
+        assert inner.calls == 1  # one call for the three uses
+        assert got == array_walk(f, ts).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees, st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+def test_compiled_random_trees_match_array_walk(f, ts):
+    assert_array_matches_walk(f, [np.array(ts), np.array(ts + [0.0, -0.0])])
