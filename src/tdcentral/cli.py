@@ -240,16 +240,16 @@ def _default_driven_1d():
             "t_end": 5.0}
 
 
-def _suite_pde(cfg, seed):
+def _sweep(cfg, seed, check):
+    """The verify sweep `check` on the configured family and plan; a shape
+    argument whose profile integral cannot be filled on t_range names it."""
     plan = _plan_from(cfg.get("plan"), seed)
     fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
-    return vf.pde_residuals(fam, plan)
-
-
-def _suite_noether(cfg, seed):
-    plan = _plan_from(cfg.get("plan"), seed)
-    fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
-    return vf.noether_check(fam, plan)
+    try:
+        with np.errstate(all="ignore"):  # an inf or nan residual fails its check
+            return check(fam, plan)
+    except ToleranceNotMet as e:
+        raise ConfigError(f"config.plan: key 't_range': {e}") from e
 
 
 def _section(cfg: dict, name: str, keys) -> dict:
@@ -391,8 +391,8 @@ def _suite_radial_mode(cfg, seed):
 
 
 _SUITES = {
-    "pde": _suite_pde,
-    "noether": _suite_noether,
+    "pde": lambda cfg, seed: _sweep(cfg, seed, vf.pde_residuals),
+    "noether": lambda cfg, seed: _sweep(cfg, seed, vf.noether_check),
     "rescaling": _suite_rescaling,
     "closed-form": _suite_closed_form,
     "ermakov": _suite_ermakov,
@@ -485,6 +485,11 @@ def cmd_wavefunction(args) -> int:
     if math.prod(count for _, _, count in axes) > dyn.MAX_SAMPLES:
         raise ConfigError(f"config.grid: keys 'r', 'theta', 't': more than "
                           f"{dyn.MAX_SAMPLES} points")
+    t_lo, t_hi = sorted(axes[2][:2])  # the time phase integrates phi^-2 from t0
+    try:
+        pot.check_profile(p.phi, min(p.t0, t_lo), max(p.t0, t_hi), True, "profile phi")
+    except InvalidParameters as e:
+        raise ConfigError(f"config: key 'phi': {e}") from e
     r_axis, theta_axis, t_axis = (np.linspace(*spec) for spec in axes)
     rows = ["r,theta,t,re_psi,im_psi,abs_psi"]
     for r in r_axis:

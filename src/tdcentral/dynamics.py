@@ -8,9 +8,9 @@ dense-output interpolant, so trajectories are sampled on a fixed stride
 without constraining the step sequence.  Radius collapse (r < r_min)
 terminates the trajectory with a recorded reason instead of raising.
 
-The stepper runs on Python floats: the state, the seven stages and every
-weighted sum are lists of floats, accumulated per component in tableau
-order, and numpy is used only to assemble the returned Trajectory.  Each
+The stepper runs on Python floats and is unrolled: every stage, solution,
+error and dense-output sum is one expression per component, 0 + w1 k1 +
+w2 k2 + ... in tableau order over the tableau unpacked into locals.  Each
 run also counts its work (IntegratorStats, on Trajectory.stats).
 """
 
@@ -53,7 +53,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_P_COLS = tuple(zip(*_P))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -139,14 +138,6 @@ class CrosscheckResult:
     l3_drift: float
 
 
-def _dot(weights, ks, c):
-    """0 + w0 ks[0][c] + w1 ks[1][c] + ..., summed in order."""
-    acc = 0.0
-    for w, k in zip(weights, ks):
-        acc += w * k[c]
-    return acc
-
-
 def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                     r_min=0.0):
     """Adaptive DP5(4) over [t0, t_end] (either direction).
@@ -159,6 +150,13 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     sample, so samples add no work for the cyclic GC), the termination
     reason and IntegratorStats.
     """
+    c2, c3, c4, c5, c6 = _C[1:6]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33), (p40, p41, p42, p43), \
+        (p50, p51, p52, p53), (p60, p61, p62, p63), (p70, p71, p72, p73) = _P
     n = len(y0)
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -172,13 +170,9 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     err_prev = 1.0
     samples = [[] for _ in range(n + 2)]
     si = 0
-
-    def emit(*row):
-        for col, v in zip(samples, row):
-            col.append(v)
-
     if sample_times and sample_times[0] == t0:
-        emit(t0, 0.0, *y)
+        for col, v in zip(samples, (t0, 0.0, *y)):
+            col.append(v)
         si = 1
 
     def stats():
@@ -195,16 +189,26 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                 return samples, "radius_collapse", stats()
             raise StepLimitExceeded(f"step size underflow at t={t!r}")
         hd = direction * h
-        K = [k1]
         try:
-            for i in range(1, 6):
-                evals += 1
-                K.append(rhs(t + _C[i] * hd,
-                             [yc + hd * _dot(_A[i], K, c) for c, yc in enumerate(y)]))
-            y_new = [yc + hd * _dot(_B, K, c) for c, yc in enumerate(y)]
+            evals += 1
+            k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
+            evals += 1
+            k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
+                                   for v, a, b in zip(y, k1, k2)])
+            evals += 1
+            k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            evals += 1
+            k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            evals += 1
+            k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d + a65 * e)
+                                   for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
+                     for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
             t_new = t + hd
             evals += 1
-            K.append(rhs(t_new, y_new))
+            k7 = rhs(t_new, y_new)
         except DomainError:
             # a stage left the admissible region; retry shorter
             retries += 1
@@ -214,10 +218,12 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                     return samples, "radius_collapse", stats()
                 raise
             continue
+        ks = tuple(zip(k1, k2, k3, k4, k5, k6, k7))  # the seven stages, per component
         sq = 0.0
-        for c in range(n):
-            a, b = abs(y[c]), abs(y_new[c])
-            q = hd * _dot(_E, K, c) / (cfg.atol + cfg.rtol * (a if a > b else b))
+        for v, w, (a, b, c, d, e, f, g) in zip(y, y_new, ks):
+            v, w = abs(v), abs(w)
+            q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
+                 / (cfg.atol + cfg.rtol * (v if v > w else w)))
             sq += q * q
         err = math.sqrt(sq / n)
         if err > 1.0 or not math.isfinite(err):
@@ -234,18 +240,24 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
         # accepted: dense-emit every sample inside (t, t_new]
         Q = None
         collapsed = False
-        while si < len(sample_times) and direction * (sample_times[si] - t_new) <= 1e-14 * max(1.0, abs(t_new)):
+        reach = 1e-14 * max(1.0, abs(t_new))
+        while si < len(sample_times) and direction * (sample_times[si] - t_new) <= reach:
             if Q is None:
-                Q = [[_dot(col, K, c) for col in _P_COLS] for c in range(n)]
+                Q = [(0.0 + p10 * a + p20 * b + p30 * c + p40 * d + p50 * e + p60 * f + p70 * g,
+                      0.0 + p11 * a + p21 * b + p31 * c + p41 * d + p51 * e + p61 * f + p71 * g,
+                      0.0 + p12 * a + p22 * b + p32 * c + p42 * d + p52 * e + p62 * f + p72 * g,
+                      0.0 + p13 * a + p23 * b + p33 * c + p43 * d + p53 * e + p63 * f + p73 * g)
+                     for a, b, c, d, e, f, g in ks]
             ts = sample_times[si]
             x = (ts - t) / hd
-            px = (x, x * x, x**3, x**4)
-            ysamp = [yc + hd * (q[0] * px[0] + q[1] * px[1] + q[2] * px[2] + q[3] * px[3])
-                     for yc, q in zip(y, Q)]
+            x2, x3, x4 = x * x, x**3, x**4
+            ysamp = [v + hd * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4)
+                     for v, (q0, q1, q2, q3) in zip(y, Q)]
             if r_index is not None and ysamp[r_index] < r_min:
                 collapsed = True
                 break
-            emit(ts, h, *ysamp)
+            for col, v in zip(samples, (ts, h, *ysamp)):
+                col.append(v)
             si += 1
         if collapsed or (r_index is not None and
                          (y_new[r_index] < r_min or not all(map(math.isfinite, y_new)))):
@@ -254,7 +266,7 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
         err = max(err, 1e-10)  # keep the controller finite on exact hits
         factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
         err_prev = err
-        t, y, k1 = t_new, y_new, K[6]
+        t, y, k1 = t_new, y_new, k7
         h *= factor
     return samples, "completed", stats()
 
@@ -367,9 +379,8 @@ def drift_report(traj: Trajectory, fi) -> float:
 
 def write_csv(traj: Trajectory, path):
     """Full-precision CSV: t,r,rdot,theta,h_accepted."""
+    cols = (traj.t, traj.r, traj.rdot, traj.theta, traj.h_accepted)
     with open(path, "w", newline="") as fh:
         fh.write("t,r,rdot,theta,h_accepted\n")
-        for i in range(len(traj)):
-            row = (traj.t[i], traj.r[i], traj.rdot[i], traj.theta[i],
-                   traj.h_accepted[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in
+                      zip(*(np.asarray(col, dtype=float).tolist() for col in cols)))

@@ -29,7 +29,9 @@ the exact partials the residual checks and the integrator need.  Each
 family also carries its invariant `fi(t, r, rdot)` and, for the two
 central families, the auxiliary function K(t,r) with its partials.  All
 time profiles are ScalarFn trees, so every partial is evaluated from an
-exact derivative tree rather than finite differences.
+exact derivative tree rather than finite differences.  dU_dr, the
+integrator's right-hand side, is one compiled function of (t, r) per
+family, with the subtrees its five coefficient trees share computed once.
 
 A family exists only where its defining profile is regular (g2 != 0,
 g1 > 0, rho > 0); `fam.check_span(lo, hi)` raises InvalidParameters when
@@ -55,10 +57,10 @@ from numpy.polynomial import polynomial as npoly
 
 from . import scalarfn as sf
 from .errors import DomainError, InvalidParameters, UnknownPreset
-from .scalarfn import ScalarFn, as_fn
+from .scalarfn import ScalarFn, _is_number, as_fn
 
 __all__ = [
-    "FamilyA", "FamilyB", "LewisLeach1d", "Preset", "preset", "catalog",
+    "FamilyA", "FamilyB", "LewisLeach1d", "Preset", "preset", "catalog", "check_profile",
     "ermakov_residuals", "mass_profile", "classify_mass_profile", "omega_profile",
     "oscillator_shape", "kepler_shape", "scaled_kepler_shape",
     "yukawa_shape", "interatomic_shape",
@@ -101,6 +103,30 @@ def _coeffs(f: ScalarFn):
     return c if len(c) <= _MAX_DEGREE + 1 and np.isfinite(c).all() else None
 
 
+def check_profile(f: ScalarFn, lo, hi, positive: bool, where: str) -> None:
+    """Raise InvalidParameters, its message starting with `where`, if profile f
+    has a zero (or, when `positive`, a negative value) on the closed span
+    between lo and hi: a polynomial is tested at the span ends and its real
+    roots, any other tree at 65 samples, where a DomainError also counts."""
+    lo, hi = sorted((float(lo), float(hi)))
+    where = f"{where} = {sf.to_text(f)} on [{lo:.12g}, {hi:.12g}]"
+    c = _coeffs(f)
+    ts = np.linspace(lo, hi, 65) if c is None else np.sort(
+        [lo, hi, *(x.real for x in npoly.polyroots(c) if lo <= x.real <= hi)])
+    try:
+        vals = np.broadcast_to(f(ts), ts.shape)
+    except DomainError as e:
+        raise InvalidParameters(f"{where}: {e}") from e
+    tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
+    bad = (np.abs(vals) <= tol) & np.isfinite(vals) | (np.sign(vals) != np.sign(vals[0]))
+    if bad.any():
+        at = "at or before" if c is None else "at"
+        raise InvalidParameters(f"{where}: vanishes {at} t = {ts[bad.argmax()] + 0.0:.12g}")
+    if positive and vals[0] < 0.0:
+        raise InvalidParameters(
+            f"{where}: must be positive, is {vals[0]:.12g} at t = {lo:.12g}")
+
+
 class _CentralFamily:
     """U = A(t) r^2 + B(t) r + C(t) F(P(t) r + Q(t)) with its exact partials,
     and V = U - L3^2/(2 r^2); each family supplies its trees to `_potential`.
@@ -109,29 +135,9 @@ class _CentralFamily:
     radial = True  # coordinate restricted to r > 0
 
     def check_span(self, lo, hi):
-        """Raise InvalidParameters if the profile named by `defining` has a
-        zero (or, when flagged positive, a negative value) on the closed span.
-        A polynomial is tested at the span ends and its real roots, any other
-        tree at 65 samples, where a DomainError also counts as invalid."""
+        """`check_profile` of the profile named by `defining`."""
         name, positive = self.defining
-        f = getattr(self, name)
-        lo, hi = sorted((float(lo), float(hi)))
-        where = f"{self.label}: profile {name} = {sf.to_text(f)} on [{lo:.12g}, {hi:.12g}]"
-        c = _coeffs(f)
-        ts = np.linspace(lo, hi, 65) if c is None else np.sort(
-            [lo, hi, *(x.real for x in npoly.polyroots(c) if lo <= x.real <= hi)])
-        try:
-            vals = np.broadcast_to(f(ts), ts.shape)
-        except DomainError as e:
-            raise InvalidParameters(f"{where}: {e}") from e
-        tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
-        bad = (np.abs(vals) <= tol) & np.isfinite(vals) | (np.sign(vals) != np.sign(vals[0]))
-        if bad.any():
-            at = "at or before" if c is None else "at"
-            raise InvalidParameters(f"{where}: vanishes {at} t = {ts[bad.argmax()] + 0.0:.12g}")
-        if positive and vals[0] < 0.0:
-            raise InvalidParameters(
-                f"{where}: must be positive, is {vals[0]:.12g} at t = {lo:.12g}")
+        check_profile(getattr(self, name), lo, hi, positive, f"{self.label}: profile {name}")
 
     def _potential(self, A, B, C, F, P, Q):
         A, B, C, self.F, P, Q = map(as_fn, (A, B, C, F, P, Q))
@@ -159,12 +165,28 @@ class _CentralFamily:
         u = self._A(t) * r * r + self._B(t) * r
         return u + self._C(t) * self.F(self.arg(t, r)) if self._shaped else u
 
+    # compiled dU_dr, built on the first call with two numbers / with anything else
+    _dU_dr_scalar = _dU_dr_array = None
+
     def dU_dr(self, t, r):
         self._guard(r)
-        u = 2.0 * self._A(t) * r + self._B(t)
-        if not self._shaped:
-            return u
-        return u + self._C(t) * self.F_d(self.arg(t, r)) * self._P(t)
+        if _is_number(t) and _is_number(r):
+            return (self._dU_dr_scalar or self._compile_dU_dr(False))(float(t), float(r))
+        return (self._dU_dr_array or self._compile_dU_dr(True))(np.asarray(t, dtype=float), r)
+
+    def _compile_dU_dr(self, array: bool):
+        """2 A r + B + C F'(P r + Q) P in U's order and association, by one _Compiler;
+        the array version calls F' by its own dispatch (s is a number at 0-d t, r)."""
+        cc = sf._Compiler(array)
+        u = f"{cc.bind(2.0)} * {cc.value(self._A, 't')} * r + {cc.value(self._B, 't')}"
+        if self._shaped:
+            c, p, q = (cc.value(f, "t") for f in (self._C, self._P, self._Q))
+            cc.lines.append(f"s = {p} * r + {q}")
+            fd = f"{cc.bind(self.F_d)}(s)" if array else cc.value(self.F_d, "s")
+            u = f"{u} + {c} * {fd} * {p}"
+        fn = cc.define("t, r", u)
+        setattr(self, "_dU_dr_array" if array else "_dU_dr_scalar", fn)
+        return fn
 
     def d2U_dr2(self, t, r):
         self._guard(r)

@@ -58,7 +58,8 @@ __all__ = [
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return type(x) is float or isinstance(x, (int, float, np.integer, np.floating)) \
+        and not isinstance(x, bool)
 
 
 def _fmt(c: float) -> str:
@@ -529,6 +530,8 @@ _CODE: dict = {}  # source text -> code object, shared by every tree of that tex
 class _Compiler:
     """Translates one tree into a Python function of a float, or of an
     ndarray when `array` is set: the only evaluator of the structural nodes.
+    A caller may walk several trees with one compiler and `define` one
+    function over their values, as a family does for dU_dr of (t, r).
 
     The function is straight-line code with one temporary per distinct
     subtree (a subtree's structure, signed zeros told apart, and the
@@ -555,9 +558,12 @@ class _Compiler:
         self.names, self.shapes, self.numbers, self.values = {}, {}, {}, {}
 
     def function(self, root: ScalarFn):
-        result = self.value(root, "t")
+        return self.define("t", self.value(root, "t"))
+
+    def define(self, args: str, result: str):
+        """Function of `args` running the lines emitted so far, returning `result`."""
         body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def f(t):\n{body}    return {result}\n"
+        source = f"def f({args}):\n{body}    return {result}\n"
         code = _CODE.get(source)
         if code is None:
             code = _CODE[source] = compile(source, "<scalarfn>", "exec")

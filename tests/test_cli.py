@@ -3,6 +3,7 @@
 import json
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -346,6 +347,35 @@ class TestRunSpan:
         rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "noether"],
                            {"family": family, "plan": {"t_range": [0, 6]}})
         assert rc == 2 and "config.family" in err and "t = 5" in err
+
+    @pytest.mark.parametrize("suite", ["pde", "noether"])
+    def test_plan_range_the_shape_argument_cannot_reach(self, tmp_path, capsys, suite):
+        # the default family's s(t, r) integrates g1^-3/2 g2 from t = 0: 200
+        # panels of doubling width end near 4e59, far short of 1e300
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc, err = self.run(tmp_path, capsys, ["verify", "--suite", suite],
+                               {"plan": {"t_range": [0, 1e300], "count": 3}})
+        assert rc == 2 and "config.plan: key 't_range'" in err and "200 panels" in err
+        assert "Warning" not in err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("phi,t0,t_axis,rc,span", [
+        ("(poly 1 -1)", 0.0, [0.0, 2.0, 3], 2, "on [0, 2]: vanishes at t = 1"),
+        # the time phase integrates phi^-2 from t0 to each grid time
+        ("(poly 2 -1)", 3.0, [0.0, 1.0, 3], 2, "on [0, 3]: vanishes at t = 2"),
+        ("(poly -1 -1)", 0.0, [0.0, 1.0, 2], 2, "on [0, 1]: must be positive"),
+        ("(poly 2 -1)", 0.0, [0.0, 1.0, 3], 0, None),
+    ], ids=["zero-on-grid", "zero-between-t0-and-grid", "negative", "zero-beyond-span"])
+    def test_wavefunction_phi_span(self, tmp_path, capsys, phi, t0, t_axis, rc, span):
+        cfg = {"a": 1.0, "b": 1, "phi": phi, "t0": t0,
+               "grid": {"r": [0.5, 2.0, 2], "theta": [0.0, 1.0, 2], "t": t_axis}}
+        path = write_config(tmp_path, cfg)
+        assert main(["wavefunction", "--config", path, "--out", str(tmp_path / "wf")]) == rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if span:
+            assert f"config: key 'phi': profile phi = {phi} {span}" in err
 
     def test_orbit_case_span(self, tmp_path, capsys):
         case = {"phi": "(poly 1 -0.1)", "L3": 0.5, "t_end": 12.0,

@@ -441,3 +441,195 @@ class TestIntegratorStats:
         st = res.trajectory.stats
         assert st.domain_retries == 0
         assert st.rhs_evals == 6 * (st.accepted + st.rejected) + 1
+
+
+# -- the unrolled step against the _dot loop it replaced ---------------------
+
+_P_COLS = tuple(zip(*dyn._P))
+
+
+def _dot(weights, ks, c):
+    """0 + w0 ks[0][c] + w1 ks[1][c] + ..., summed in order."""
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        acc += w * k[c]
+    return acc
+
+
+def _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
+                        r_min=0.0):
+    """The float stepper with a `_dot` loop per weighted sum: the unrolled
+    step must reproduce its samples, termination and counters bit for bit."""
+    n = len(y0)
+    direction = 1.0 if t_end >= t0 else -1.0
+    span = abs(t_end - t0)
+    t = t0
+    y = [float(v) for v in y0]
+    h = min(cfg.h_init, cfg.h_max, span) if span > 0 else cfg.h_init
+    k1 = rhs(t, y)
+    evals = 1
+    accepted = rejected = retries = 0
+    h_lo = h_hi = None
+    err_prev = 1.0
+    samples = [[] for _ in range(n + 2)]
+    si = 0
+
+    def emit(*row):
+        for col, v in zip(samples, row):
+            col.append(v)
+
+    if sample_times and sample_times[0] == t0:
+        emit(t0, 0.0, *y)
+        si = 1
+
+    def stats():
+        return dyn.IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
+
+    while direction * (t_end - t) > 0.0:
+        if accepted + rejected + retries >= cfg.max_steps:
+            raise StepLimitExceeded(
+                f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
+        h = min(h, cfg.h_max, abs(t_end - t))
+        if h <= 1e-14 * max(1.0, abs(t)):
+            if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                return samples, "radius_collapse", stats()
+            raise StepLimitExceeded(f"step size underflow at t={t!r}")
+        hd = direction * h
+        K = [k1]
+        try:
+            for i in range(1, 6):
+                evals += 1
+                K.append(rhs(t + dyn._C[i] * hd,
+                             [yc + hd * _dot(dyn._A[i], K, c) for c, yc in enumerate(y)]))
+            y_new = [yc + hd * _dot(dyn._B, K, c) for c, yc in enumerate(y)]
+            t_new = t + hd
+            evals += 1
+            K.append(rhs(t_new, y_new))
+        except DomainError:
+            retries += 1
+            h *= 0.5
+            if h < 1e-12:
+                if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                    return samples, "radius_collapse", stats()
+                raise
+            continue
+        sq = 0.0
+        for c in range(n):
+            a, b = abs(y[c]), abs(y_new[c])
+            q = hd * _dot(dyn._E, K, c) / (cfg.atol + cfg.rtol * (a if a > b else b))
+            sq += q * q
+        err = math.sqrt(sq / n)
+        if err > 1.0 or not math.isfinite(err):
+            if not math.isfinite(err):
+                factor = dyn._MIN_FACTOR
+            else:
+                factor = max(dyn._MIN_FACTOR, dyn._SAFETY * err ** -dyn._ALPHA)
+            rejected += 1
+            h *= factor
+            continue
+        accepted += 1
+        h_lo = h if h_lo is None else min(h_lo, h)
+        h_hi = h if h_hi is None else max(h_hi, h)
+        Q = None
+        collapsed = False
+        while si < len(sample_times) and \
+                direction * (sample_times[si] - t_new) <= 1e-14 * max(1.0, abs(t_new)):
+            if Q is None:
+                Q = [[_dot(col, K, c) for col in _P_COLS] for c in range(n)]
+            ts = sample_times[si]
+            x = (ts - t) / hd
+            px = (x, x * x, x**3, x**4)
+            ysamp = [yc + hd * (q[0] * px[0] + q[1] * px[1] + q[2] * px[2] + q[3] * px[3])
+                     for yc, q in zip(y, Q)]
+            if r_index is not None and ysamp[r_index] < r_min:
+                collapsed = True
+                break
+            emit(ts, h, *ysamp)
+            si += 1
+        if collapsed or (r_index is not None and
+                         (y_new[r_index] < r_min or not all(map(math.isfinite, y_new)))):
+            return samples, "radius_collapse", stats()
+        err = max(err, 1e-10)
+        factor = min(dyn._MAX_FACTOR, dyn._SAFETY * err ** -dyn._ALPHA * err_prev ** dyn._BETA)
+        err_prev = err
+        t, y, k1 = t_new, y_new, K[6]
+        h *= factor
+    return samples, "completed", stats()
+
+
+def _recorded_runs(monkeypatch, core, run):
+    """repr of every (columns, termination, stats) that `core` returns while
+    `run()` executes with it as the stepper."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        out = core(*args, **kwargs)
+        runs.append(tuple(map(repr, out)))
+        return out
+    monkeypatch.setattr(dyn, "_core_integrate", recording)
+    run()
+    monkeypatch.undo()
+    return runs
+
+
+class TestUnrolledStepper:
+    """Same sums in the same order as the _dot loop, zero weights kept: the
+    sample columns (signed zeros included), the termination and the
+    counters are bit-identical, on the polar and the Cartesian system."""
+
+    def assert_same_runs(self, monkeypatch, run):
+        got = _recorded_runs(monkeypatch, dyn._core_integrate, run)
+        want = _recorded_runs(monkeypatch, _dot_reference_core, run)
+        assert got and got == want
+
+    @pytest.mark.parametrize("fam,s0,t_end,cfg", stepper_cases())
+    def test_integrate_bit_identical(self, monkeypatch, fam, s0, t_end, cfg):
+        self.assert_same_runs(monkeypatch, lambda: dyn.integrate(fam, s0, t_end, cfg))
+
+    def test_crosscheck_bit_identical(self, monkeypatch):
+        # two runs: the polar reference and the n = 4 Cartesian system
+        self.assert_same_runs(monkeypatch, lambda: dyn.cartesian_crosscheck(
+            eccentric_kepler(), PolarState(0.0, 1.4, 0.0, 0.2), 4.0))
+
+    def test_signed_zero_components_kept(self):
+        # a component that stays a signed zero and steers another: each sum
+        # must start from 0.0 as the _dot loop did, or the zero's sign flips
+        def rhs(t, y):
+            return [y[1], -y[0] + 1e-3 * math.copysign(1.0, y[2]), -0.0]
+        runs = []
+        for core in (dyn._core_integrate, _dot_reference_core):
+            cols, term, stats = core(rhs, 0.0, (1.0, 0.0, -0.0), 1.0, IntegratorConfig(),
+                                     dyn._sample_grid(0.0, 1.0, 0.01))
+            runs.append((repr(cols), term, repr(stats)))
+        assert runs[0] == runs[1]
+
+
+def _row_writer(traj, path):
+    """The row-by-row CSV writer write_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,r,rdot,theta,h_accepted\n")
+        for i in range(len(traj)):
+            row = (traj.t[i], traj.r[i], traj.rdot[i], traj.theta[i],
+                   traj.h_accepted[i])
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+class TestCsvBytes:
+    EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1,
+                      1.0 / 3.0, 2.0**53 + 2.0, 123456789.0])
+
+    def assert_same_bytes(self, tmp_path, traj):
+        dyn.write_csv(traj, tmp_path / "new.csv")
+        _row_writer(traj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_edge_values(self, tmp_path):
+        v = self.EDGES
+        traj = dyn.Trajectory(v, v[::-1].copy(), -v, 0.5 * v, 2.0 * v[::-1])
+        self.assert_same_bytes(tmp_path, traj)
+
+    def test_integrated_and_empty(self, tmp_path):
+        traj = dyn.integrate(cross_profile_family(), PolarState(0.0, 1.2, 0.1), 0.5)
+        self.assert_same_bytes(tmp_path, traj)
+        empty = np.empty(0)
+        self.assert_same_bytes(tmp_path, dyn.Trajectory(empty, empty, empty, empty, empty))

@@ -7,7 +7,7 @@ import pytest
 
 from tdcentral import potentials as pot
 from tdcentral import scalarfn as sf
-from tdcentral.errors import DomainError, InvalidParameters, UnknownPreset
+from tdcentral.errors import DomainError, InvalidParameters, ToleranceNotMet, UnknownPreset
 from tdcentral.potentials import FamilyA, FamilyB, LewisLeach1d
 
 U = sf.T  # shape-argument variable
@@ -119,6 +119,130 @@ class TestFamilyBPotential:
         assert vals.shape == rs.shape
         for i, r in enumerate(rs):
             assert math.isclose(vals[i], fam.V(1.3, float(r)), rel_tol=1e-14)
+
+
+def central_families():
+    """Every preset, the CLI's default cross-profile family (whose Q holds an
+    Antiderivative), the driven 1-d system, and a cross-profile family whose
+    g1 vanishes at t = 1, so that A, P and Q raise there."""
+    from tdcentral.cli import _default_driven_1d, _default_family, _family_from
+    fams = [(name, pot.preset(name).family) for name, _ in pot.catalog()]
+    shape = sf.add(sf.power(U, 2), sf.mul(2.0, sf.power(U, -2, (0, math.inf))))
+    fams += [("cross-profile", _default_family()),
+             ("driven-1d", _family_from(_default_driven_1d()["system"], (0.0, 5.0))),
+             ("vanishing-g1", FamilyB(sf.poly(1, -1), sf.poly(0.3, 0.1), shape, L3=0.7))]
+    return [pytest.param(fam, id=name) for name, fam in fams]
+
+
+def per_tree_dU_dr(fam, t, r):
+    """dU_dr with each coefficient tree called on its own: the expression the
+    compiled per-family function replaced."""
+    fam._guard(r)
+    u = 2.0 * fam._A(t) * r + fam._B(t)
+    if not fam._shaped:
+        return u
+    return u + fam._C(t) * fam.F_d(fam.arg(t, r)) * fam._P(t)
+
+
+def outcome(f, t, r):
+    try:
+        v = f(t, r)
+    except (DomainError, ToleranceNotMet, ArithmeticError) as e:
+        return type(e), str(e)
+    return type(v), np.shape(v), repr(np.asarray(v).tolist())
+
+
+_TIMES = [float(t) for t in np.linspace(-3.0, 12.0, 16)] + [
+    0.0, -0.0, 1e-300, 0.5, 1, 1.5, math.nan, math.inf, -math.inf]
+_RADII = [1e-3, 0.4, 1, 2.5, 0.0, -1.0]
+_ARRAYS = [
+    (np.linspace(-3.0, 12.0, 31), np.linspace(0.2, 3.0, 31)),
+    (np.linspace(0.05, 0.95, 30).reshape(5, 6), np.linspace(0.3, 2.0, 30).reshape(5, 6)),
+    (np.array([0.5, 2.0]), np.array([1.0])),             # broadcast radii
+    (np.array([0.25, 1.0]), np.array([1.0, 1.0])),       # g1 = 1 - t vanishes at 1
+    (np.array([0.5, math.nan]), np.array([1.0, 1.0])),
+    (np.array([0.5, 0.7]), np.array([1.0, 0.0])),        # a radius at zero
+    (np.array(-0.0), np.array(0.5)), (np.empty(0), np.empty(0)),
+] + [  # 0-d arrays make s a number, which F' evaluates as the per-tree call did
+    (np.array(t), np.array(r)) for t, r in zip(np.linspace(0.05, 0.95, 256),
+                                               np.linspace(5.0, 0.1, 256))]
+
+
+class TestCompiledDUdr:
+    """dU_dr is one compiled function of (t, r) per family; it returns the
+    per-tree expression's values bit for bit and raises its first error."""
+
+    @pytest.mark.parametrize("fam", central_families())
+    def test_numbers_bit_identical(self, fam):
+        for t in _TIMES:
+            for r in _RADII:
+                want = outcome(lambda t, r: per_tree_dU_dr(fam, t, r), t, r)
+                assert outcome(fam.dU_dr, t, r) == want, (t, r)
+
+    @pytest.mark.parametrize("fam", central_families())
+    def test_arrays_bit_identical(self, fam):
+        for t, r in _ARRAYS:
+            want = outcome(lambda t, r: per_tree_dU_dr(fam, t, r), t, r)
+            assert outcome(fam.dU_dr, t, r) == want, (t, r)
+
+    @pytest.mark.parametrize("fam", central_families())
+    def test_numpy_scalars_equal(self, fam):
+        # two numbers run the scalar function on Python floats: a double
+        # result, equal to the per-tree value
+        for t, r in ((np.float64(0.5), np.float64(1.2)), (np.int64(0), np.int64(1))):
+            assert fam.dU_dr(t, r) == per_tree_dU_dr(fam, t, r)
+
+    @pytest.mark.parametrize("t,r,message", [
+        (1.0, 1.0, "zero denominator"),                 # g1 = 1 - t in A
+        (1.5, 1.0, "non-positive base"),                # g1^-1/2 in A
+        (math.nan, 1.0, "argument outside"),
+        (0.5, 0.0, "radius must be positive"),
+        (-2.5, 1e-3, "argument outside"),               # s = P r + Q < 0 in F'
+        (np.array([0.5, 1.0]), np.array([1.0, 1.0]), "zero denominator"),
+        (np.array([-2.5]), np.array([1e-3]), "argument outside"),
+    ])
+    def test_domain_edges(self, t, r, message):
+        fam = central_families()[-1].values[0]
+        got = outcome(fam.dU_dr, t, r)
+        assert got[0] is DomainError and message in got[1]
+        assert got == outcome(lambda t, r: per_tree_dU_dr(fam, t, r), t, r)
+
+    def test_one_code_object_per_shape(self, monkeypatch):
+        a = pot.preset("scaled-kepler", k=1.0).family
+        b = pot.preset("scaled-kepler", k=2.5, L3=0.5).family  # same shape, other numbers
+        for t, r in ((0.5, 1.2), (np.array([0.5]), np.array([1.2]))):
+            a.dU_dr(t, r)
+            compiled = []
+            monkeypatch.setattr(sf, "compile", lambda *args: compiled.append(args) or
+                                compile(*args), raising=False)
+            b.dU_dr(t, r)
+            monkeypatch.undo()
+            assert compiled == []  # numbers are bound by name, not written in the text
+        assert a._dU_dr_scalar is not b._dU_dr_scalar
+        assert a._dU_dr_scalar.__code__ is b._dU_dr_scalar.__code__
+        assert a._dU_dr_array.__code__ is b._dU_dr_array.__code__
+        assert a._dU_dr_array.__code__ is not a._dU_dr_scalar.__code__
+
+    def test_shared_subtrees_computed_once(self, monkeypatch):
+        # g1 = 1 + t^2 enters A, C and P; one Horner line evaluates it
+        lines = []
+        define = sf._Compiler.define
+
+        def spy(self, args, result):
+            lines.extend(self.lines)
+            return define(self, args, result)
+        monkeypatch.setattr(sf._Compiler, "define", spy)
+        fam = pot.preset("oscillator", g1="(poly 1 0 1)", c0=0.4, L3=1.0).family
+        fam.dU_dr(0.5, 1.2)
+        assert sum(") * t +" in line for line in lines) == 1
+        assert fam.dU_dr(0.5, 1.2) == per_tree_dU_dr(fam, 0.5, 1.2)
+
+    def test_compiled_once_per_family(self):
+        fam = pot.preset("yukawa").family
+        fam.dU_dr(0.5, 1.2)
+        fn = fam._dU_dr_scalar
+        fam.dU_dr(1.5, 0.7)
+        assert fam._dU_dr_scalar is fn and fam._dU_dr_array is None
 
 
 class TestPartials:
