@@ -107,18 +107,23 @@ def check_profile(f: ScalarFn, lo, hi, positive: bool, where: str) -> None:
     """Raise InvalidParameters, its message starting with `where`, if profile f
     has a zero (or, when `positive`, a negative value) on the closed span
     between lo and hi: a polynomial is tested at the span ends and its real
-    roots, any other tree at 65 samples, where a DomainError also counts."""
+    roots, any other tree at 65 samples, where a DomainError or a value
+    beyond the double range also counts."""
     lo, hi = sorted((float(lo), float(hi)))
     where = f"{where} = {sf.to_text(f)} on [{lo:.12g}, {hi:.12g}]"
     c = _coeffs(f)
     ts = np.linspace(lo, hi, 65) if c is None else np.sort(
         [lo, hi, *(x.real for x in npoly.polyroots(c) if lo <= x.real <= hi)])
-    try:
-        vals = np.broadcast_to(f(ts), ts.shape)
-    except DomainError as e:
-        raise InvalidParameters(f"{where}: {e}") from e
-    tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
-    bad = (np.abs(vals) <= tol) & np.isfinite(vals) | (np.sign(vals) != np.sign(vals[0]))
+    with np.errstate(all="ignore"):
+        try:
+            vals = np.broadcast_to(f(ts), ts.shape)
+        except DomainError as e:
+            raise InvalidParameters(f"{where}: {e}") from e
+        tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
+    huge = ~(np.isfinite(vals) & np.isfinite(tol))
+    if huge.any():
+        raise InvalidParameters(f"{where}: is not finite at t = {ts[huge.argmax()] + 0.0:.12g}")
+    bad = (np.abs(vals) <= tol) | (np.sign(vals) != np.sign(vals[0]))
     if bad.any():
         at = "at or before" if c is None else "at"
         raise InvalidParameters(f"{where}: vanishes {at} t = {ts[bad.argmax()] + 0.0:.12g}")

@@ -16,8 +16,11 @@ T(t) = int_{t0}^{t} phi^{-2} dtau.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import scalarfn as sf
 from .errors import DomainError, InvalidParameters
@@ -29,17 +32,19 @@ __all__ = ["laguerre", "WavefunctionParams", "radial_amplitude",
 MAX_NODES = 1000  # largest node count b: the recurrence costs b steps per radius
 
 
-def laguerre(a: float, b: int, R: float) -> float:
-    """Generalized Laguerre value L_b^{(a)}(R) by the three-term recurrence.
+def laguerre(a, b: int, R):
+    """Generalized Laguerre value L_b^{(a)}(R) by the three-term recurrence,
+    at a float R or elementwise over ndarrays of a and R that broadcast.
 
     Valid for real order parameter a; b must be a nonnegative integer.
     """
     if b < 0 or float(b) != int(b):
         raise InvalidParameters("laguerre degree must be a nonnegative integer")
     b = int(b)
-    prev = 1.0
     if b == 0:
-        return prev
+        shape = np.broadcast(a, R).shape
+        return np.ones(shape) if shape else 1.0
+    prev = 1.0
     cur = 1.0 + a - R
     for n in range(1, b):
         prev, cur = cur, ((2.0 * n + 1.0 + a - R) * cur
@@ -47,17 +52,23 @@ def laguerre(a: float, b: int, R: float) -> float:
     return cur
 
 
-def _laguerre_d1(a: float, b: int, R: float) -> float:
+def _laguerre_d1(a, b: int, R):
     # d/dR L_b^{(a)} = -L_{b-1}^{(a+1)}
     if b < 1:
         return 0.0
     return -laguerre(a + 1.0, b - 1, R)
 
 
-def _laguerre_d2(a: float, b: int, R: float) -> float:
+def _laguerre_d2(a, b: int, R):
     if b < 2:
         return 0.0
     return laguerre(a + 2.0, b - 2, R)
+
+
+def _check_stretched(R) -> None:
+    if not np.all(np.greater(R, 0.0)):
+        raise DomainError(
+            f"stretched radius must be positive, got {float(np.min(R))!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,10 @@ class WavefunctionParams:
     a is any real > -1 (keeps the amplitude regular at R = 0); b counts
     radial nodes, at most MAX_NODES.  The derived coupling k is what the
     matching potential preset must use, so classical and quantum checks
-    share one constant.
+    share one constant.  a and hbar may also be ndarrays that broadcast
+    against each other and against R: a grid of modes with one node count,
+    whose constants and residuals `radial_mode_residual` evaluates in one
+    pass; `m`, `scaled_time` and `wavefunction` take a single mode.
     """
 
     a: float
@@ -76,21 +90,26 @@ class WavefunctionParams:
     L3: float = 0.0
     phi: ScalarFn = 1.0
     t0: float = 0.0
-    _phi_d: ScalarFn = field(init=False, repr=False, compare=False)
-    _T: ScalarFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.a <= -1.0:
+        if np.any(np.less_equal(self.a, -1.0)):
             raise InvalidParameters("order parameter a must exceed -1")
         if not 0 <= self.b <= MAX_NODES or float(self.b) != int(self.b):
             raise InvalidParameters(
                 f"node count b must be an integer in [0, {MAX_NODES}]")
-        if self.hbar <= 0.0:
+        if np.any(np.less_equal(self.hbar, 0.0)):
             raise InvalidParameters("hbar must be positive")
         object.__setattr__(self, "b", int(self.b))
         object.__setattr__(self, "phi", as_fn(self.phi))
-        object.__setattr__(self, "_phi_d", self.phi.d())
-        object.__setattr__(self, "_T", sf.antiderivative(self.phi**-2, self.t0))
+
+    # built on first use: the radial checks never read the time dependence
+    @functools.cached_property
+    def _phi_d(self) -> ScalarFn:
+        return self.phi.d()
+
+    @functools.cached_property
+    def _T(self) -> ScalarFn:
+        return sf.antiderivative(self.phi**-2, self.t0)
 
     @property
     def lam(self) -> float:
@@ -120,19 +139,19 @@ class WavefunctionParams:
 
 def radial_amplitude(p: WavefunctionParams, R: float) -> float:
     """A(R) = e^{-R/2} R^{(a+1)/2} L_b^{(a)}(R) for R > 0."""
-    if R <= 0.0:
-        raise DomainError(f"stretched radius must be positive, got {R!r}")
+    _check_stretched(R)
     c = 0.5 * (p.a + 1.0)
     return math.exp(-0.5 * R) * R**c * laguerre(p.a, p.b, R)
 
 
-def _amplitude_with_d2(p: WavefunctionParams, R: float) -> tuple:
-    """(A, A'') with both Laguerre derivatives taken analytically."""
+def _amplitude_with_d2(p: WavefunctionParams, R) -> tuple:
+    """(A, A'') at a float R or an ndarray of R (over every mode of p), with
+    both Laguerre derivatives taken analytically."""
     c = 0.5 * (p.a + 1.0)
     L = laguerre(p.a, p.b, R)
     L1 = _laguerre_d1(p.a, p.b, R)
     L2 = _laguerre_d2(p.a, p.b, R)
-    pref = math.exp(-0.5 * R) * R**c
+    pref = np.exp(-0.5 * R) * R**c
     # A' = pref * M with M = L' + (c/R - 1/2) L; differentiate once more
     g = c / R - 0.5
     M = L1 + g * L
@@ -140,15 +159,14 @@ def _amplitude_with_d2(p: WavefunctionParams, R: float) -> tuple:
     return pref * L, pref * (Mp + g * M)
 
 
-def radial_mode_residual(p: WavefunctionParams, R: float,
-                         k: float | None = None) -> float:
+def radial_mode_residual(p: WavefunctionParams, R, k: float | None = None):
     """Residual of A'' + (2 lam/hbar^2 + 2k/(hbar^2 R) - (m^2 - 1/4
-    - L3^2/hbar^2)/R^2) A at the given R.
+    - L3^2/hbar^2)/R^2) A at a float R, or elementwise over an ndarray of R
+    and every mode of p.
 
     Passing k overrides the derived coupling; useful as a negative control.
     """
-    if R <= 0.0:
-        raise DomainError(f"stretched radius must be positive, got {R!r}")
+    _check_stretched(R)
     A, A2 = _amplitude_with_d2(p, R)
     kk = p.k if k is None else float(k)
     h2 = p.hbar * p.hbar

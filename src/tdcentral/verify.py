@@ -30,7 +30,7 @@ from scipy.integrate import cumulative_simpson
 
 from . import dynamics as dyn
 from . import scalarfn as sf
-from .errors import BranchAmbiguity
+from .errors import BranchAmbiguity, InvalidParameters
 from .potentials import FamilyA, FamilyB, LewisLeach1d, _CentralFamily, \
     ermakov_residuals
 from .scalarfn import as_fn
@@ -177,25 +177,25 @@ def rescaled_shape_recovery(phi, Fbar, L3: float, grid=None) -> float:
 
     The family's shape function is Fbar composed with u/sqrt(2), which
     makes the equality exact; the centrifugal term appears identically on
-    both sides.
+    both sides.  Each side is evaluated once on the (ts, rs) meshgrid.
+    Raises InvalidParameters when phi vanishes at a grid time.
     """
     phi = as_fn(phi)
     Fbar = as_fn(Fbar)
     if grid is None:
         grid = (np.linspace(0.0, 2.0, 20), np.linspace(0.5, 3.0, 20))
-    ts, rs = grid
+    t, r = np.meshgrid(np.asarray(grid[0], dtype=float),
+                       np.asarray(grid[1], dtype=float), indexing="ij")
     g1 = sf.mul(0.5, sf.power(phi, 2))
     fam = FamilyB(g1, 0.0, sf.compose(Fbar, sf.poly(0.0, 2.0 ** -0.5)), L3)
-    phidd = phi.d().d()
-    worst = 0.0
-    for t in np.asarray(ts, dtype=float):
-        pv = phi(t)
-        pdd = phidd(t)
-        for r in np.asarray(rs, dtype=float):
-            direct = (-0.5 * pdd / pv * r * r + Fbar(r / pv) / (pv * pv)
-                      - 0.5 * L3 * L3 / (r * r))
-            worst = max(worst, abs(fam.V(t, float(r)) - direct))
-    return float(worst)
+    with np.errstate(all="ignore"):  # a singular shape fails as a nan difference
+        pv = np.broadcast_to(phi(t), t.shape)
+        if not pv.all():
+            raise InvalidParameters(f"scale profile phi = {sf.to_text(phi)} "
+                                    f"vanishes at t = {t[pv == 0.0][0] + 0.0:.12g}")
+        direct = (-0.5 * phi.d().d()(t) / pv * r * r + Fbar(r / pv) / (pv * pv)
+                  - 0.5 * L3 * L3 / (r * r))
+        return float(np.max(np.abs(fam.V(t, r) - direct)))
 
 
 def closed_form_r(fam: FamilyA, I: float, c: float, t, t0: float = 0.0):

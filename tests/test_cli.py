@@ -149,6 +149,15 @@ class TestConfigKeysNamed:
         assert "config.radial-mode: key 'b_values'" in err
         assert str(MAX_NODES) in err
 
+    def test_radial_mode_sample_cap(self, tmp_path, capsys):
+        # 101 x 2 x 100 modes at 50 radii each: just over MAX_SAMPLES samples
+        spec = {"a_values": [0.0] * 101, "b_values": [0, 1], "hbar_values": [1.0] * 100}
+        path = write_config(tmp_path, {"radial-mode": spec})
+        assert main(["verify", "--suite", "radial-mode", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config.radial-mode: keys 'a_values', 'b_values', 'hbar_values'" in err
+        assert f"more than {MAX_SAMPLES} samples" in err
+
     def test_wavefunction_node_cap(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "a": 1.0, "b": MAX_NODES + 1,
@@ -172,13 +181,19 @@ class TestConfigKeysNamed:
         # well typed, but the residual overflows or divides by hbar^2 = 0
         ({"a_values": [1e300]}, "a_values"),
         ({"hbar_values": [1e-300]}, "hbar_values"),
+        # the failing value after a good one: the first failing mode is named
+        ({"a_values": [0.0, 1e300]}, "a_values"),
+        ({"hbar_values": [1.0, 1e-300]}, "hbar_values"),
     ])
     def test_radial_mode_values(self, tmp_path, capsys, spec, key):
         path = write_config(tmp_path, {"radial-mode": spec})
-        assert main(["verify", "--suite", "radial-mode", "--config", path]) == 2
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["verify", "--suite", "radial-mode", "--config", path]) == 2
         err = capsys.readouterr().err
         assert f"config.radial-mode: key {key!r}" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("section", ["ermakov", "radial-mode"])
     def test_non_object_section(self, tmp_path, capsys, section):
@@ -359,6 +374,39 @@ class TestRunSpan:
         assert rc == 2 and "config.plan: key 't_range'" in err and "200 panels" in err
         assert "Warning" not in err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+    def test_profile_beyond_double_range(self, tmp_path, capsys):
+        # g2 = 1 + 0.1 t^2 overflows at t = 1e300 before any residual is taken
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "pde"],
+                               {"family": {"preset": "linear-lfi"},
+                                "plan": {"t_range": [0, 1e300], "count": 3}})
+        assert rc == 2 and "config.family: linear-lfi: profile g2" in err
+        assert "on [0, 1e+300]: is not finite at t = 1e+300" in err
+        assert "Warning" not in err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+    def test_wavefunction_phase_time_unfillable(self, tmp_path, capsys):
+        # phi = 1 + t is finite at 1e100, but the integral of phi^-2 out to it
+        # takes more than the Antiderivative's 200 panels
+        cfg = {"a": 1.0, "b": 1, "phi": "(poly 1 1)",
+               "grid": {"r": [0.5, 2.0, 2], "theta": [0.0, 1.0, 2], "t": [0.0, 1e100, 2]}}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["wavefunction", "--config", path, "--out", str(tmp_path / "wf")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "config: key 't'" in err and "200 panels" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+    def test_rescaling_phi_zero_on_grid(self, tmp_path, capsys):
+        case = {"phi": "(poly 0 1)", "shape": "(pow t 2)", "L3": 1.0}
+        rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "rescaling"],
+                           {"rescaling": {"cases": [{"phi": "1", "shape": "0"}, case]}})
+        assert rc == 2
+        assert "config.rescaling.cases[1]: key 'phi': scale profile phi = t vanishes at t = 0" in err
 
     @pytest.mark.parametrize("phi,t0,t_axis,rc,span", [
         ("(poly 1 -1)", 0.0, [0.0, 2.0, 3], 2, "on [0, 2]: vanishes at t = 1"),

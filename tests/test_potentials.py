@@ -1,6 +1,7 @@
 """Potential families: values, exact partials, presets, profile laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -502,6 +503,19 @@ class TestCheckSpan:
         fam = FamilyA(sf.add(sf.exp(sf.T), -2.0))  # e^t - 2 crosses zero at ln 2
         fam.check_span(1.0, 3.0)
         assert "vanishes at or before" in self.fails(fam, 0.0, 3.0)
+
+    @pytest.mark.parametrize("profile,span,where", [
+        # the value overflows at the far end: a polynomial and its tolerance
+        (sf.poly(1, 0, 0.1), (0.0, 1e300), "(poly 1 0 0.1) on [0, 1e+300]: "
+                                           "is not finite at t = 1e+300"),
+        # a sampled tree: t^2 overflows from the second of 65 samples on
+        (sf.sqrt(sf.poly(1, 0, 1)), (0.0, 1e300), "is not finite at t = 1.5625e+298"),
+        (sf.exp(sf.T), (0.0, 1000.0), "is not finite at t = 718.75"),
+    ])
+    def test_value_beyond_double_range(self, profile, span, where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert where in self.fails(FamilyA(profile), *span)
 
 
 class TestLewisLeach1d:

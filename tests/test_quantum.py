@@ -1,10 +1,14 @@
 """Laguerre recurrence, radial amplitude, mode residual, wavefunction assembly."""
 
 import cmath
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 import tdcentral.scalarfn as sf
@@ -23,6 +27,62 @@ def laguerre_by_coefficients(a, b, R):
             binom *= (a + i + j) / j
         tot += (-1.0) ** i * binom * R**i / math.factorial(i)
     return tot
+
+
+# -- scalar references: the per-radius code the array path replaced ----------
+
+def laguerre_scalar(a, b, R):
+    prev = 1.0
+    if b == 0:
+        return prev
+    cur = 1.0 + a - R
+    for n in range(1, b):
+        prev, cur = cur, ((2.0 * n + 1.0 + a - R) * cur
+                          - (n + a) * prev) / (n + 1.0)
+    return cur
+
+
+def residual_terms_scalar(p, R):
+    """(A'', coef * A) at one float R with libm exp and pow; the mode
+    residual is their sum."""
+    c = 0.5 * (p.a + 1.0)
+    L = laguerre_scalar(p.a, p.b, R)
+    L1 = -laguerre_scalar(p.a + 1.0, p.b - 1, R) if p.b >= 1 else 0.0
+    L2 = laguerre_scalar(p.a + 2.0, p.b - 2, R) if p.b >= 2 else 0.0
+    pref = math.exp(-0.5 * R) * R**c
+    g = c / R - 0.5
+    M = L1 + g * L
+    Mp = L2 + g * L1 - (c / (R * R)) * L
+    h2 = p.hbar * p.hbar
+    coef = (2.0 * p.lam / h2 + 2.0 * p.k / (h2 * R)
+            - (p.m2 - 0.25 - (p.L3 / p.hbar) ** 2) / (R * R))
+    return pref * (Mp + g * M), coef * (pref * L)
+
+
+def worst_residual_scalar(p, Rs):
+    """The verify suite's per-radius loop: the largest |residual| over Rs, or
+    None when the mode leaves the double range."""
+    try:
+        res = [abs(sum(residual_terms_scalar(p, float(R)))) for R in Rs]
+    except ArithmeticError:  # OverflowError, ZeroDivisionError
+        return None
+    return max(res) if all(map(math.isfinite, res)) else None
+
+
+def mode_grid_worst(a_values, b, hbar_values, L3, Rs):
+    """The suite's array pass: largest |residual| over Rs of each (a, hbar)
+    pair at node count b, inf or nan outside the double range."""
+    p = qm.WavefunctionParams(a=np.array(a_values, dtype=float)[:, None, None], b=b,
+                              hbar=np.array(hbar_values, dtype=float)[:, None], L3=L3)
+    with np.errstate(all="ignore"):
+        return np.max(np.abs(qm.radial_mode_residual(p, Rs)), axis=-1)
+
+
+RS = np.logspace(math.log10(0.01), math.log10(50.0), 50)  # the verify suite's radii
+# numpy's exp and power may differ from libm's in the last bit, and the
+# prefactor multiplies both terms; 4 ulps of their magnitudes covers that
+# (1 ulp is the largest seen over 150k samples)
+TERM_ULPS = 4 * np.finfo(float).eps
 
 
 class TestLaguerre:
@@ -58,6 +118,17 @@ class TestLaguerre:
             got = qm.laguerre(a, b, R)
             want = float(eval_genlaguerre(b, a, R))
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("b", [0, 1, 2, 7])
+    def test_array_matches_scalar_recurrence(self, b):
+        got = qm.laguerre(1.5, b, RS)
+        assert isinstance(got, np.ndarray) and got.shape == RS.shape
+        assert got.tolist() == [laguerre_scalar(1.5, b, float(R)) for R in RS]
+        orders = np.array([[-0.5], [1.5], [3.0]])  # broadcast against RS
+        got = qm.laguerre(orders, b, RS)
+        assert got.shape == (3, RS.size)
+        assert got.tolist() == [[laguerre_scalar(a, b, float(R)) for R in RS]
+                                for a in (-0.5, 1.5, 3.0)]
 
     def test_bad_degree(self):
         with pytest.raises(InvalidParameters):
@@ -174,6 +245,52 @@ class TestModeResidual:
         p = qm.WavefunctionParams(a=0.0, b=0)
         with pytest.raises(DomainError):
             qm.radial_mode_residual(p, 0.0)
+        with pytest.raises(DomainError, match="got -1.0"):
+            qm.radial_mode_residual(p, np.array([0.5, -1.0, 2.0]))
+
+    def test_suite_grid_matches_scalar_loop(self):
+        a_values, hbar_values = [0.0, 1.0, 2.0], [0.5, 1.0, 2.0]
+        for b in range(6):
+            grid = mode_grid_worst(a_values, b, hbar_values, 0.3, RS)
+            assert grid.shape == (3, 3)
+            for (i, a), (j, hbar) in itertools.product(enumerate(a_values),
+                                                       enumerate(hbar_values)):
+                p = qm.WavefunctionParams(a=a, b=b, hbar=hbar, L3=0.3)
+                scale = max(abs(A2) + abs(cA) for A2, cA in
+                            (residual_terms_scalar(p, float(R)) for R in RS))
+                assert abs(grid[i, j] - worst_residual_scalar(p, RS)) \
+                    <= TERM_ULPS * scale, (a, b, hbar)
+
+    @pytest.mark.parametrize("a,b,hbar,L3", [
+        (1e300, 0, 1.0, 0.3), (0.0, 0, 1e-300, 0.3), (0.0, 0, 1.0, 1e300),
+        (300.0, 1000, 0.5, 0.3), (0.0, 3, 1.0, 0.3)])
+    def test_double_range_verdict_matches_scalar_loop(self, a, b, hbar, L3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # next to a good mode, which keeps a finite value
+            grid = mode_grid_worst([a, 1.0], b, [hbar, 1.0], L3, RS)
+        assert np.isfinite(grid[0, 0]) == ((a, b, hbar, L3) == (0.0, 3, 1.0, 0.3))
+        for (i, ai), (j, hj) in itertools.product(enumerate([a, 1.0]), enumerate([hbar, 1.0])):
+            p = qm.WavefunctionParams(a=ai, b=b, hbar=hj, L3=L3)
+            assert np.isfinite(grid[i, j]) == (worst_residual_scalar(p, RS) is not None)
+
+    def test_mode_grid_validation(self):
+        with pytest.raises(InvalidParameters, match="a must exceed -1"):
+            qm.WavefunctionParams(a=np.array([0.0, -1.0]), b=0)
+        with pytest.raises(InvalidParameters, match="hbar must be positive"):
+            qm.WavefunctionParams(a=0.0, b=0, hbar=np.array([[1.0], [0.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-1.0, 4.0, exclude_min=True), b=st.integers(0, 30),
+       hbar=st.floats(0.25, 4.0), L3=st.floats(0.0, 2.0))
+def test_array_residual_matches_scalar_reference(a, b, hbar, L3):
+    p = qm.WavefunctionParams(a=a, b=b, hbar=hbar, L3=L3)
+    got = qm.radial_mode_residual(p, RS)
+    assert got.shape == RS.shape
+    for R, value in zip(RS, got):
+        A2, cA = residual_terms_scalar(p, float(R))
+        assert abs(value - (A2 + cA)) <= TERM_ULPS * (abs(A2) + abs(cA)), R
 
 
 class TestWavefunction:

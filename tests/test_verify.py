@@ -10,7 +10,7 @@ from tdcentral import dynamics as dyn
 from tdcentral import integrals as fi
 from tdcentral import potentials as pot
 from tdcentral import verify as vf
-from tdcentral.errors import BranchAmbiguity
+from tdcentral.errors import BranchAmbiguity, InvalidParameters
 from tdcentral.potentials import FamilyA, FamilyB, LewisLeach1d
 from test_acceptance import _families as acceptance_families
 
@@ -131,6 +131,55 @@ class TestRescaledShapeRecovery:
         diff = vf.rescaled_shape_recovery(sf.poly(1, 0.2), sf.power(sf.T, 2),
                                           0.5, grid=grid)
         assert diff <= 1e-12
+
+    def test_scale_profile_zero_on_grid(self):
+        # phi = t vanishes at the first grid time, where phi''/phi is 0/0
+        with pytest.raises(InvalidParameters, match="phi = t vanishes at t = 0"):
+            vf.rescaled_shape_recovery(sf.T, sf.power(sf.T, 2), 1.0)
+
+
+def rescaling_reference(phi, Fbar, L3, grid=None):
+    """Per-grid-point scalar loop of rescaled_shape_recovery: its result and
+    the largest |V| it met."""
+    phi, Fbar = sf.as_fn(phi), sf.as_fn(Fbar)
+    if grid is None:
+        grid = (np.linspace(0.0, 2.0, 20), np.linspace(0.5, 3.0, 20))
+    ts, rs = grid
+    g1 = sf.mul(0.5, sf.power(phi, 2))
+    fam = FamilyB(g1, 0.0, sf.compose(Fbar, sf.poly(0.0, 2.0 ** -0.5)), L3)
+    phidd = phi.d().d()
+    worst = scale = 0.0
+    for t in np.asarray(ts, dtype=float):
+        pv = phi(t)
+        pdd = phidd(t)
+        for r in np.asarray(rs, dtype=float):
+            direct = (-0.5 * pdd / pv * r * r + Fbar(r / pv) / (pv * pv)
+                      - 0.5 * L3 * L3 / (r * r))
+            v = fam.V(t, float(r))
+            worst = max(worst, abs(v - direct))
+            scale = max(scale, abs(v))
+    return float(worst), scale
+
+
+def rescaling_cases():
+    from tdcentral.cli import _default_rescaling_cases
+    cases = [(sf.parse(c["phi"]), sf.parse(c["shape"]), c["L3"], None)
+             for c in _default_rescaling_cases()]
+    return cases + [  # the TestRescaledShapeRecovery cases
+        (1.0, 0.0, 0.0, None),
+        (sf.sqrt(sf.poly(1, 0, 1)), sf.power(sf.T, 2), 1.0, None),
+        (sf.poly(1, 0, 1), sf.power(sf.T, -1.0), 2.0, None),
+        (sf.poly(1, 0.2), sf.power(sf.T, 2), 0.5,
+         (np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)))]
+
+
+@pytest.mark.parametrize("phi,Fbar,L3,grid", rescaling_cases())
+def test_rescaled_shape_recovery_matches_scalar_loop(phi, Fbar, L3, grid):
+    # the meshgrid evaluation differs from the loop only where numpy and libm
+    # round a function differently in the last bit: 4 ulps of the largest |V|
+    want, scale = rescaling_reference(phi, Fbar, L3, grid)
+    got = vf.rescaled_shape_recovery(phi, Fbar, L3, grid)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * scale
 
 
 class TestClosedFormR:
