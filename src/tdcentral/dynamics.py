@@ -8,16 +8,21 @@ dense-output interpolant, so trajectories are sampled on a fixed stride
 without constraining the step sequence.  Radius collapse (r < r_min)
 terminates the trajectory with a recorded reason instead of raising.
 
-The stepper runs on Python floats and is unrolled: every stage, solution,
-error and dense-output sum is one expression per component, 0 + w1 k1 +
-w2 k2 + ... in tableau order over the tableau unpacked into locals.  Each
-run also counts its work (IntegratorStats, on Trajectory.stats).
+The stepper runs on Python floats and is unrolled: every stage, solution
+and error sum is one expression per component, 0 + w1 k1 + w2 k2 + ... in
+tableau order over the tableau unpacked into locals.  Dense output is a
+blocked numpy pass: accepted steps are recorded, and their samples are
+evaluated about a thousand at a time with the same sums in the same
+order, elementwise, so every sample is bit-identical to the per-sample
+summation loop it replaced.  Each run also counts its work
+(IntegratorStats, on Trajectory.stats).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -53,6 +58,7 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_P_COLS = tuple(zip(*_P))  # the weights of q0 .. q3, each over k1 .. k7
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -149,14 +155,18 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     [t, h_accepted, y_0, ..., y_{n-1}] as lists of floats (no container per
     sample, so samples add no work for the cyclic GC), the termination
     reason and IntegratorStats.
+
+    An accepted step only counts the samples it covers and records itself;
+    `_DenseBlock` evaluates the recorded steps' samples in blocked numpy
+    passes.
+    A sample below r_min found there ends the run at its step, also when the
+    stepper went on past that step and raised.
     """
     c2, c3, c4, c5, c6 = _C[1:6]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
     b1, b2, b3, b4, b5, b6 = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
-    (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33), (p40, p41, p42, p43), \
-        (p50, p51, p52, p53), (p60, p61, p62, p63), (p70, p71, p72, p73) = _P
     n = len(y0)
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -170,118 +180,225 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     err_prev = 1.0
     samples = [[] for _ in range(n + 2)]
     si = 0
-    if sample_times and sample_times[0] == t0:
+    nst = len(sample_times)
+    if nst and sample_times[0] == t0:
         for col, v in zip(samples, (t0, 0.0, *y)):
             col.append(v)
         si = 1
+    dense = _DenseBlock(sample_times, si, samples, r_index, r_min)
 
     def stats():
         return IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
-    while direction * (t_end - t) > 0.0:
-        if accepted + rejected + retries >= cfg.max_steps:
-            raise StepLimitExceeded(
-                f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
-        h = min(h, cfg.h_max, abs(t_end - t))
-        if h <= 1e-14 * max(1.0, abs(t)):
-            # non-extendable solution; a small radius means a collision
-            if r_index is not None and y[r_index] <= 1000.0 * r_min:
-                return samples, "radius_collapse", stats()
-            raise StepLimitExceeded(f"step size underflow at t={t!r}")
-        hd = direction * h
-        try:
-            evals += 1
-            k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
-            evals += 1
-            k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
-                                   for v, a, b in zip(y, k1, k2)])
-            evals += 1
-            k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            evals += 1
-            k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            evals += 1
-            k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d + a65 * e)
-                                   for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
-                     for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
-            t_new = t + hd
-            evals += 1
-            k7 = rhs(t_new, y_new)
-        except DomainError:
-            # a stage left the admissible region; retry shorter
-            retries += 1
-            h *= 0.5
-            if h < 1e-12:
+    term = "completed"
+    try:
+        while direction * (t_end - t) > 0.0:
+            if accepted + rejected + retries >= cfg.max_steps:
+                raise StepLimitExceeded(
+                    f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
+            h = min(h, cfg.h_max, abs(t_end - t))
+            if h <= 1e-14 * max(1.0, abs(t)):
+                # non-extendable solution; a small radius means a collision
                 if r_index is not None and y[r_index] <= 1000.0 * r_min:
-                    return samples, "radius_collapse", stats()
-                raise
-            continue
-        ks = tuple(zip(k1, k2, k3, k4, k5, k6, k7))  # the seven stages, per component
-        sq = 0.0
-        for v, w, (a, b, c, d, e, f, g) in zip(y, y_new, ks):
-            v, w = abs(v), abs(w)
-            q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
-                 / (cfg.atol + cfg.rtol * (v if v > w else w)))
-            sq += q * q
-        err = math.sqrt(sq / n)
-        if err > 1.0 or not math.isfinite(err):
-            if not math.isfinite(err):
-                factor = _MIN_FACTOR
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
-            rejected += 1
-            h *= factor
-            continue
-        accepted += 1
-        h_lo = h if h_lo is None else min(h_lo, h)
-        h_hi = h if h_hi is None else max(h_hi, h)
-        # accepted: dense-emit every sample inside (t, t_new]
-        Q = None
-        collapsed = False
-        reach = 1e-14 * max(1.0, abs(t_new))
-        while si < len(sample_times) and direction * (sample_times[si] - t_new) <= reach:
-            if Q is None:
-                Q = [(0.0 + p10 * a + p20 * b + p30 * c + p40 * d + p50 * e + p60 * f + p70 * g,
-                      0.0 + p11 * a + p21 * b + p31 * c + p41 * d + p51 * e + p61 * f + p71 * g,
-                      0.0 + p12 * a + p22 * b + p32 * c + p42 * d + p52 * e + p62 * f + p72 * g,
-                      0.0 + p13 * a + p23 * b + p33 * c + p43 * d + p53 * e + p63 * f + p73 * g)
-                     for a, b, c, d, e, f, g in ks]
-            ts = sample_times[si]
-            x = (ts - t) / hd
-            x2, x3, x4 = x * x, x**3, x**4
-            ysamp = [v + hd * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4)
-                     for v, (q0, q1, q2, q3) in zip(y, Q)]
-            if r_index is not None and ysamp[r_index] < r_min:
-                collapsed = True
+                    term = "radius_collapse"
+                    break
+                raise StepLimitExceeded(f"step size underflow at t={t!r}")
+            hd = direction * h
+            try:
+                evals += 1
+                k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
+                evals += 1
+                k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
+                                       for v, a, b in zip(y, k1, k2)])
+                evals += 1
+                k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
+                                       for v, a, b, c in zip(y, k1, k2, k3)])
+                evals += 1
+                k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
+                                       for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                evals += 1
+                k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d
+                                                 + a65 * e)
+                                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
+                         for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
+                t_new = t + hd
+                evals += 1
+                k7 = rhs(t_new, y_new)
+            except DomainError:
+                # a stage left the admissible region; retry shorter
+                retries += 1
+                h *= 0.5
+                if h < 1e-12:
+                    if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                        term = "radius_collapse"
+                        break
+                    raise
+                continue
+            sq = 0.0
+            for v, w, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+                v, w = abs(v), abs(w)
+                q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
+                     / (cfg.atol + cfg.rtol * (v if v > w else w)))
+                sq += q * q
+            err = math.sqrt(sq / n)
+            if err > 1.0 or not math.isfinite(err):
+                if not math.isfinite(err):
+                    factor = _MIN_FACTOR
+                else:
+                    factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
+                rejected += 1
+                h *= factor
+                continue
+            accepted += 1
+            h_lo = h if h_lo is None else min(h_lo, h)
+            h_hi = h if h_hi is None else max(h_hi, h)
+            # accepted: the samples inside (t, t_new] are this step's
+            reach = 1e-14 * max(1.0, abs(t_new))
+            s_end = si
+            while s_end < nst and direction * (sample_times[s_end] - t_new) <= reach:
+                s_end += 1
+            if s_end > si:
+                si = s_end
+                hit = dense.record(si, (accepted, rejected, retries, evals, h_lo, h_hi),
+                                   (t, hd, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+                if hit is not None:
+                    return samples, "radius_collapse", hit
+            if r_index is not None and (y_new[r_index] < r_min
+                                        or not all(map(math.isfinite, y_new))):
+                term = "radius_collapse"
                 break
-            for col, v in zip(samples, (ts, h, *ysamp)):
-                col.append(v)
-            si += 1
-        if collapsed or (r_index is not None and
-                         (y_new[r_index] < r_min or not all(map(math.isfinite, y_new)))):
-            return samples, "radius_collapse", stats()
-        # PI step-size update
-        err = max(err, 1e-10)  # keep the controller finite on exact hits
-        factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
-        err_prev = err
-        t, y, k1 = t_new, y_new, k7
-        h *= factor
-    return samples, "completed", stats()
+            # PI step-size update
+            err = max(err, 1e-10)  # keep the controller finite on exact hits
+            factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
+            err_prev = err
+            t, y, k1 = t_new, y_new, k7
+            h *= factor
+    except Exception:
+        # whatever a later step raised, a pending sample below r_min ended
+        # the run before that step
+        hit = dense.flush()
+        if hit is None:
+            raise
+        return samples, "radius_collapse", hit
+    hit = dense.flush()
+    if hit is not None:
+        return samples, "radius_collapse", hit
+    return samples, term, stats()
+
+
+_BLOCK = 1024  # dense samples evaluated in one numpy pass
+
+
+class _DenseBlock:
+    """The accepted steps whose dense samples are not yet evaluated.
+
+    `record` keeps a step's end sample index, its counters and its
+    (t, hd, h, y, k1, ..., k7).  `flush` evaluates the pending samples in
+    numpy, appends them to the columns up to the first one below r_min and
+    returns the IntegratorStats of that sample's step, or None.  A sample
+    below r_min is found only when its block is flushed: once _BLOCK
+    samples are pending, or when the run ends or raises.
+
+    The interpolant sums run elementwise in the order of the float stepper,
+    0 + p1 k1 + ... + p7 k7 and then v + hd (q0 x + q1 x^2 + q2 x^3 + q3 x^4),
+    with x^3 and x^4 from libm `pow` (numpy's `power` may differ from it in
+    the last bit), so every sample is bit-identical to evaluating it in
+    Python floats.
+    """
+
+    def __init__(self, sample_times, start, columns, r_index, r_min):
+        self.times = sample_times
+        self.start = start  # pending samples: times[start:ends[-1]]
+        self.columns = columns
+        self.r_index = r_index
+        self.r_min = r_min
+        self.ends, self.counters, self.steps = [], [], []
+
+    def record(self, end, counters, step):
+        """Add a step (counters: the IntegratorStats fields); once _BLOCK
+        samples are pending, flush them and return what flush does."""
+        self.ends.append(end)
+        self.counters.append(counters)
+        self.steps.append(step)
+        return self.flush() if end - self.start >= _BLOCK else None
+
+    def flush(self):
+        if not self.steps:
+            return None
+        ends, counters, A = self.ends, self.counters, np.array(self.steps)
+        self.ends, self.counters, self.steps = [], [], []
+        lo, hi = self.start, ends[-1]
+        self.start = hi
+        n = len(self.columns) - 2
+        k1, k2, k3, k4, k5, k6, k7 = (A[:, n * j + 3:n * j + n + 3] for j in range(1, 8))
+        hs = A[:, 2].tolist()  # one float per step, shared by its samples
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in floats
+            Q = [0.0 + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6 + p7 * k7
+                 for p1, p2, p3, p4, p5, p6, p7 in _P_COLS]
+            # at most _BLOCK samples at a time, however many one step holds
+            for c0 in range(lo, hi, _BLOCK):
+                c1 = min(c0 + _BLOCK, hi)
+                at = np.searchsorted(ends, np.arange(c0, c1), side="right")  # their steps
+                m = self._emit(self.times[c0:c1], A[at, 0], A[at, 1], A[at, 3:3 + n],
+                               [q[at] for q in Q])
+                self.columns[0].extend(self.times[c0:c0 + m])
+                self.columns[1].extend(map(hs.__getitem__, at[:m].tolist()))
+                if m < c1 - c0:
+                    return IntegratorStats(*counters[at[m]])
+        return None
+
+    def _emit(self, ts, t, hd, y, Q):
+        """Append the y columns of samples ts, given their steps' t, hd, y
+        and interpolant weights, up to the first below r_min; return how
+        many."""
+        q0, q1, q2, q3 = Q
+        x = (np.array(ts) - t) / hd
+        xs = x.tolist()
+        x3 = np.array(list(map(pow, xs, repeat(3))))[:, None]
+        x4 = np.array(list(map(pow, xs, repeat(4))))[:, None]
+        x, hd = x[:, None], hd[:, None]
+        ysamp = y + hd * (q0 * x + q1 * (x * x) + q2 * x3 + q3 * x4)
+        m = len(ts)
+        if self.r_index is not None:
+            below = np.flatnonzero(ysamp[:, self.r_index] < self.r_min)
+            if below.size:
+                m = int(below[0])
+        for col, v in zip(self.columns[2:], ysamp[:m].T.tolist()):
+            col.extend(v)
+        return m
+
+
+_GRID_CHUNK = 8192  # grid times built per numpy pass (64 KiB arrays)
 
 
 def _sample_grid(t0: float, t_end: float, stride: float) -> list[float]:
+    """[t0, t0 + stride, ..., t_end]: the inner times t0 + (±k) stride, k =
+    1, 2, ..., that fall short of t_end.  Built in chunks, so no array
+    outlives a chunk (a freed large array would raise malloc's mmap
+    threshold and fragment the heap the sample columns grow in)."""
     direction = 1.0 if t_end >= t0 else -1.0
+    chunk = min(_GRID_CHUNK, abs(t_end - t0) // stride + 2.0)  # k runs past t_end
     out = [t0]
-    k = 1
+    k = 1.0
     while True:
-        ts = t0 + direction * k * stride
-        if direction * (ts - t_end) >= 0.0:
+        ts = t0 + (direction * np.arange(k, k + chunk)) * stride
+        inner = ts[direction * (ts - t_end) < 0.0]
+        out.extend(inner.tolist())
+        if len(inner) < len(ts):
             break
-        out.append(ts)
-        k += 1
+        k += chunk
     out.append(t_end)
+    return out
+
+
+def _arrays(columns: list) -> list:
+    """The columns as arrays; each list is emptied once copied, so a long
+    run never holds all its samples both as floats and as arrays."""
+    out = []
+    for col in columns:
+        out.append(np.array(col))
+        col.clear()
     return out
 
 
@@ -313,7 +430,7 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
     samples, term, stats = _core_integrate(
         rhs, s0.t, (s0.r, s0.rdot, s0.theta), t_end, cfg, grid,
         r_index=0 if guard else None, r_min=cfg.r_min)
-    ts, hs, r, rdot, theta = map(np.array, samples)
+    ts, hs, r, rdot, theta = _arrays(samples)
     return Trajectory(ts, r, rdot, theta, hs, termination=term,
                       label=getattr(fam, "label", ""), stats=stats)
 
@@ -347,7 +464,7 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
     )
     grid = _sample_grid(s0.t, t_end, cfg.stride)
     samples, term, stats = _core_integrate(rhs, s0.t, y0, t_end, cfg, grid)
-    ts, hs, x, yy, vx, vy = map(np.array, samples)
+    ts, hs, x, yy, vx, vy = _arrays(samples)
     r = np.hypot(x, yy)
     rdot = (x * vx + yy * vy) / r
     theta = np.unwrap(np.arctan2(yy, x))
@@ -379,8 +496,20 @@ def drift_report(traj: Trajectory, fi) -> float:
 
 def write_csv(traj: Trajectory, path):
     """Full-precision CSV: t,r,rdot,theta,h_accepted."""
-    cols = (traj.t, traj.r, traj.rdot, traj.theta, traj.h_accepted)
+    cols = [map(repr, np.asarray(col, dtype=float).tolist())
+            for col in (traj.t, traj.r, traj.rdot, traj.theta)]
+    h = np.asarray(traj.h_accepted, dtype=float)
+    # h changes once per step: one repr per run of bit-equal values (the
+    # int64 view keeps 0.0 and -0.0 apart)
+    bits = h.view(np.int64)
+    first = np.ones(len(h), dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(first)
+    hs = chain.from_iterable(map(repeat, map(repr, h[starts].tolist()),
+                                 np.diff(starts, append=len(h)).tolist()))
+    rows = map(",".join, zip(*cols, hs))
     with open(path, "w", newline="") as fh:
         fh.write("t,r,rdot,theta,h_accepted\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in
-                      zip(*(np.asarray(col, dtype=float).tolist() for col in cols)))
+        while lines := list(islice(rows, _BLOCK)):
+            lines.append("")
+            fh.write("\n".join(lines))

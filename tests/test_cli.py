@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdcentral import cli
 from tdcentral.cli import main
 from tdcentral.dynamics import MAX_SAMPLES
 from tdcentral.quantum import MAX_NODES
@@ -717,3 +718,27 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_reused_parser_matches_first_call(self, tmp_path, capsys, monkeypatch):
+        # one process: the parser built by a failing call serves the next
+        # calls, and each call prints and exits as it does on a fresh parser
+        cfg = write_config(tmp_path, oscillator_config(t_end=2.0))
+        calls = [["simulate", "--no-such-option"], ["verify", "--suite", "pde"],
+                 ["simulate", "--config", cfg]]
+
+        def run(argv):
+            rc = main(argv)
+            out = capsys.readouterr()
+            return rc, out.out, out.err
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        reused = [run(calls[0])]
+        parser = cli._PARSER
+        reused += [run(argv) for argv in calls[1:]]
+        assert parser is not None and cli._PARSER is parser
+        assert [rc for rc, _, _ in reused] == [2, 0, 0]
+        first = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            first.append(run(argv))
+        assert reused == first

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +368,11 @@ ENSEMBLE = (
 )
 
 
+# r_min between the eccentric Kepler orbit's pericentre sample (r =
+# 0.77777781 at t = 3.57) and the ends of the step that holds it
+DIP = IntegratorConfig(r_min=0.7777779)
+
+
 def stepper_cases():
     cases = [pytest.param(pot.preset(name, **params).family,
                           PolarState(0.0, r, rdot), 8.0, IntegratorConfig(),
@@ -385,7 +392,71 @@ def stepper_cases():
                      id="domain-retry"),
         pytest.param(plunge, PolarState(0.0, 1.0, 0.0), 2.0, IntegratorConfig(),
                      id="radius-collapse"),
+        # r_min between the pericentre sample at t = 3.57 and both ends of its
+        # step (3.5688, 3.5910]: the interpolant, not a step end, collapses
+        pytest.param(eccentric_kepler(), PolarState(0.0, 1.4, 0.0), 4.0, DIP,
+                     id="dip-inside-step"),
+        # the dip is step 80; the stepper goes on and raises two steps later
+        pytest.param(eccentric_kepler(), PolarState(0.0, 1.4, 0.0), 4.0,
+                     replace(DIP, max_steps=82), id="dip-then-step-limit"),
+        # the same step, with 3500 samples before it: the dip is in block 4,
+        # which fills before the run ends
+        pytest.param(eccentric_kepler(), PolarState(0.0, 1.4, 0.0), 6.0,
+                     replace(DIP, stride=0.001), id="dip-in-later-block"),
+        # the dip is the first sample after t0 and the block does not fill:
+        # the stepper goes on to the next pericentre, where a step end falls
+        # below r_min, and the run still ends at the dip
+        pytest.param(eccentric_kepler(), PolarState(0.0, 1.4, 0.0), 400.0,
+                     replace(DIP, stride=3.57), id="dip-then-step-end-below"),
     ]
+
+
+class _RecordedFamily:
+    """A family whose dU_dr calls append (t, r) to `calls`: one call per
+    evaluation of the radial right-hand side."""
+
+    def __init__(self, fam, calls):
+        self._fam, self._calls = fam, calls
+
+    def __getattr__(self, name):
+        return getattr(self._fam, name)
+
+    def dU_dr(self, t, r):
+        self._calls.append((t, r))
+        return self._fam.dU_dr(t, r)
+
+
+class TestDipCases:
+    """The collapse cases of stepper_cases() test what their ids say."""
+
+    @pytest.mark.parametrize("case", ["dip-inside-step", "dip-then-step-limit",
+                                      "dip-in-later-block", "dip-then-step-end-below"])
+    def test_sample_dips_while_step_ends_stay_above(self, case):
+        fam, s0, t_end, cfg = {p.id: p.values for p in stepper_cases()}[case]
+        calls = []
+        traj = dyn.integrate(_RecordedFamily(fam, calls), s0, t_end, cfg)
+        st = traj.stats
+        assert traj.termination == "radius_collapse"
+        assert st.rejected == st.domain_retries == 0
+        # every attempt was accepted, so rhs call 6 s is the end of step s;
+        # the collapse step is the last accepted one
+        (t_a, r_a), (t_b, r_b) = calls[6 * (st.accepted - 1)], calls[6 * st.accepted]
+        assert r_a > cfg.r_min and r_b > cfg.r_min
+        full = dyn.integrate(fam, s0, t_end, replace(cfg, r_min=1e-9, max_steps=500_000))
+        dip = len(traj)
+        assert full.termination == "completed"
+        assert t_a < full.t[dip] <= t_b and full.r[dip] < cfg.r_min
+        assert np.array_equal(full.r[:dip], traj.r)
+        if case == "dip-then-step-limit":
+            assert st.accepted == cfg.max_steps - 2
+            with pytest.raises(StepLimitExceeded):
+                dyn.integrate(fam, s0, t_end, replace(cfg, r_min=1e-9))
+        if case == "dip-in-later-block":
+            assert dip > 3 * dyn._BLOCK and len(full) > dip + dyn._BLOCK
+        if case == "dip-then-step-end-below":
+            # the last rhs call is the step end that stopped the stepper
+            assert dip == 1 and len(calls) > 6 * st.accepted + 1
+            assert calls[-1][1] < cfg.r_min
 
 
 class TestFloatStepper:
@@ -603,6 +674,73 @@ class TestUnrolledStepper:
             runs.append((repr(cols), term, repr(stats)))
         assert runs[0] == runs[1]
 
+    def test_quadrature_samples_bit_identical(self):
+        # y' = f(t) from y = 0: the first step's samples are hd (q0 x + ...)
+        # with no state to absorb the rounding, so a last-bit change in x^3
+        # or x^4 shows; loose tolerances give steps of 2000 samples, more
+        # than one block each
+        def rhs(t, y):
+            return [1.0 + t * (3.0 + t * (-5.0 + t * 2.0)), t * t * (7.0 - 9.0 * t * t)]
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, h_init=0.5, stride=1e-4)
+        grid = dyn._sample_grid(0.0, 0.5, cfg.stride)
+        got, want = (repr(core(rhs, 0.0, (0.0, 0.0), 0.5, cfg, grid))
+                     for core in (dyn._core_integrate, _dot_reference_core))
+        assert got == want
+        h = dyn._core_integrate(rhs, 0.0, (0.0, 0.0), 0.5, cfg, grid)[0][1]
+        assert max(map(h.count, set(h))) > dyn._BLOCK
+
+    def test_non_finite_stages_silent(self):
+        # stages near the double limit: the interpolant weights overflow
+        # them to inf and inf - inf gives nan in every y_0 sample; y_1
+        # starts infinite.  Float arithmetic is silent, so the numpy pass
+        # must be too, with the same samples.
+        def rhs(t, y):
+            return [1.7e308, 1.0]
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for core in (dyn._core_integrate, _dot_reference_core):
+                cols, term, stats = core(rhs, 0.0, (1e308, math.inf), 2.0, IntegratorConfig(),
+                                         dyn._sample_grid(0.0, 2.0, 0.01), r_index=None)
+                runs.append((repr(cols), term, repr(stats)))
+        assert runs[0] == runs[1]
+        y0, y1 = np.array(cols[2]), np.array(cols[3])
+        assert np.isnan(y0[1:]).all() and np.isposinf(y1).all()
+
+
+def _loop_sample_grid(t0, t_end, stride):
+    """The per-time loop _sample_grid replaced."""
+    direction = 1.0 if t_end >= t0 else -1.0
+    out = [t0]
+    k = 1
+    while True:
+        ts = t0 + direction * k * stride
+        if direction * (ts - t_end) >= 0.0:
+            break
+        out.append(ts)
+        k += 1
+    out.append(t_end)
+    return out
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("t0,t_end,stride", [
+        (0.0, 8.0, 0.01),                     # forward
+        (3.0, 0.0, 0.01),                     # backward
+        (500.0, 505.0, 0.01),                 # far from 0: t0 + k stride rounds
+        (-2.5, 1.2345678, 0.1),               # end not a multiple of the stride
+        (1.0, -6.789, 0.25),                  # backward, same
+        (0.0, 0.004, 0.01),                   # span shorter than one stride
+        (7.0, 6.999, 0.01),                   # backward, same
+        (0.0, 8193.0, 1.0),                   # inner times fill one chunk exactly
+        (-0.0, 100.0, 0.01),                  # several chunks, t0 = -0.0 kept
+        (0.1, 0.1 + 3 * 0.1, 0.1),            # an inner time lands on t_end
+    ])
+    def test_matches_loop(self, t0, t_end, stride):
+        got = dyn._sample_grid(t0, t_end, stride)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert repr(got) == repr(_loop_sample_grid(t0, t_end, stride))
+
 
 def _row_writer(traj, path):
     """The row-by-row CSV writer write_csv replaced."""
@@ -633,3 +771,20 @@ class TestCsvBytes:
         self.assert_same_bytes(tmp_path, traj)
         empty = np.empty(0)
         self.assert_same_bytes(tmp_path, dyn.Trajectory(empty, empty, empty, empty, empty))
+
+    def test_h_runs(self, tmp_path):
+        # long runs of one step, NaN runs (two payloads, one negative) next to
+        # each other, and the adjacent signed zeros of EDGES
+        nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        values = [*self.EDGES, np.nan, -np.nan, nan2, np.nan, 0.1, 0.0, -0.0, 0.1]
+        h = np.repeat(values, [1 + 37 * (i % 3) for i in range(len(values))])
+        t = np.arange(len(h)) * 0.1
+        col = np.where(np.arange(len(h)) % 5 == 0, np.nan, t / 3.0)
+        self.assert_same_bytes(tmp_path, dyn.Trajectory(t, -t, col, t * t, h))
+        # a strided h column (every other value of a longer array)
+        wide = np.repeat(h, 2)
+        self.assert_same_bytes(tmp_path, dyn.Trajectory(t, t, t, t, wide[::2]))
+
+    def test_crosscheck_trajectory(self, tmp_path):
+        res = dyn.cartesian_crosscheck(eccentric_kepler(), PolarState(0.0, 1.4, 0.0, 0.2), 4.0)
+        self.assert_same_bytes(tmp_path, res.trajectory)
