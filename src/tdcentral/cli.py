@@ -27,7 +27,7 @@ from . import scalarfn as sf
 from . import verify as vf
 from .errors import (BranchAmbiguity, ConfigError, DomainError,
                      InvalidParameters, ParseError, StepLimitExceeded,
-                     ToleranceNotMet, UnknownPreset)
+                     ToleranceNotMet)
 
 __all__ = ["main", "build_parser"]
 
@@ -107,30 +107,53 @@ def _family_from(node, span, where: str = "config.family"):
     the closed time span (a pair, in either order) that the command uses."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
+    if "preset" in node:
+        _only(node, ("preset", "params", "perturb"), where)
+        name = _get(node, "preset", str, where=where)
+        if name not in dict(pot.catalog()):
+            raise ConfigError(f"{where}: key 'preset': unknown preset {name!r}")
+        given = _get(node, "params", dict, {}, where)
+        build = lambda kw: pot.preset(name, **kw).family
+    else:
+        kind = _get(node, "kind", str, where=where)
+        if kind not in _KINDS:
+            raise ConfigError(f"{where}: key 'kind': unknown kind {kind!r}")
+        cls, profiles, floats = _KINDS[kind]
+        _only(node, ("kind", "perturb", *profiles, *floats), where)
+        given = {key: _scalar(node, key, where=where)  # the first profile is required
+                 for key in profiles if key in node or key == profiles[0]}
+        given.update((key, _get(node, key, float, where=where)) for key in floats if key in node)
+        build = lambda kw: cls(**kw)
     try:
-        if "preset" in node:
-            _only(node, ("preset", "params", "perturb"), where)
-            name = _get(node, "preset", str, where=where)
-            params = _get(node, "params", dict, {}, where)
-            fam = pot.preset(name, **params).family
-        else:
-            kind = _get(node, "kind", str, where=where)
-            if kind not in _KINDS:
-                raise ConfigError(f"{where}: unknown kind {kind!r}")
-            cls, profiles, floats = _KINDS[kind]
-            _only(node, ("kind", "perturb", *profiles, *floats), where)
-            fam = cls(*(_scalar(node, key, 0.0 if i else _MISSING, where)
-                        for i, key in enumerate(profiles)),
-                      *(_get(node, key, float, 0.0, where) for key in floats))
+        fam = build(given)
         fam.check_span(*span)
-    except (UnknownPreset, InvalidParameters, DomainError, ParseError,
-            TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    except _FAULTS as e:  # name the key at fault unless the message does
+        named = any(repr(key) in str(e) for key in given)
+        raise ConfigError(f"{where}: {'' if named else _culprit(build, given, span)}{e}") from e
     # deliberate cubic defect for negative-control runs
     if "perturb" in node:
         fam = vf.PerturbedPotential(fam, _get(node, "perturb", float,
                                               where=where))
     return fam
+
+
+_FAULTS = (InvalidParameters, DomainError, ParseError, TypeError)  # a family's bad values
+
+
+def _culprit(build, given: dict, span) -> str:
+    """The first given key that fails alone, the others set to 1, else all of
+    them; none when 1 everywhere fails too (an unknown parameter, say)."""
+    def fails(kw):
+        try:
+            build(kw).check_span(*span)
+        except _FAULTS:
+            return True
+        return False
+    ones = dict.fromkeys(given, 1.0)
+    if fails(ones):
+        return ""
+    key = next((k for k in given if fails({**ones, k: given[k]})), None)
+    return f"key {key!r}: " if key else f"keys {', '.join(map(repr, given))}: "
 
 
 def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
@@ -146,12 +169,18 @@ def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _horizon(t0: float, t_end: float, icfg, key: str, where: str) -> None:
-    """Reject, naming `key`, a span that dynamics.check_horizon refuses."""
+def _horizon(t0: float, t_end: float, icfg, keys: str) -> None:
+    """Reject, naming `keys` (the keys the span comes from), a span that
+    dynamics.check_horizon refuses, and one that max_steps steps of at most
+    h_max cannot cover."""
+    icfg = icfg or dyn.IntegratorConfig()
     try:
-        dyn.check_horizon(t0, t_end, (icfg or dyn.IntegratorConfig()).stride)
+        dyn.check_horizon(t0, t_end, icfg.stride)
     except ValueError as e:
-        raise ConfigError(f"{where}: key {key!r}: {e}") from e
+        raise ConfigError(f"{keys}: {e}") from e
+    if abs(t_end - t0) / icfg.h_max > icfg.max_steps:
+        raise ConfigError(f"config.integrator: keys 'h_max', 'max_steps': {icfg.max_steps} steps "
+                          f"of at most {icfg.h_max!r} cannot cover t = {t0!r} to {t_end!r}")
 
 
 def _integrator_from(node, where: str = "config.integrator"):
@@ -179,7 +208,7 @@ def _plan_from(node, seed, where: str = "config.plan") -> vf.SamplingPlan:
         raw = _get(node, key, list, list(default), where)
         if not _numbers(raw, 2):
             raise ConfigError(f"{where}: key {key!r} must be [lo, hi]")
-        return float(raw[0]), float(raw[1])
+        return float(raw[0]) + 0.0, float(raw[1]) + 0.0  # numpy refuses [0.0, -0.0]
     fields = dict(t_range=pair("t_range", (0.0, 3.0)),
                   r_range=pair("r_range", (0.5, 3.0)),
                   rdot_range=pair("rdot_range", (-2.0, 2.0)),
@@ -314,10 +343,10 @@ def _suite_ermakov(cfg, seed):
     where = "config.ermakov"
     s0 = _state_from(spec["initial"], where + ".initial")
     t_end = _get(spec, "t_end", float, where=where)
-    _horizon(s0.t, t_end, None, "t_end", where)
+    _horizon(s0.t, t_end, None, f"{where}: key 't_end', {where}.initial: key 't'")
     fam = _family_from(spec["system"], (s0.t, t_end), where + ".system")
     if not isinstance(fam, pot.LewisLeach1d):
-        raise ConfigError(f"{where}.system: must have kind 'driven-1d'")
+        raise ConfigError(f"{where}.system: must have kind 'driven-1d' and no key 'perturb'")
     return vf.lewis_leach_report(fam, s0, t_end)
 
 
@@ -327,19 +356,22 @@ def _suite_orbit(cfg, seed):
     checks = {}
     for i, case in enumerate(cases, start=1):
         where = f"config.orbit.cases[{i - 1}]"
+        name = _get(case, "name", str, f"case-{i}", where)
+        if f"orbit-{name}" in checks:
+            raise ConfigError(f"{where}: key 'name': {name!r} names an earlier case")
         phi = _scalar(case, "phi", where=where)
         k = _get(case, "k", float, 1.0, where)
+        if k == 0.0:
+            raise ConfigError(f"{where}: key 'k' must be nonzero")
         L3 = _get(case, "L3", float, 0.0, where)
         s0 = _state_from(case.get("initial", {}), where + ".initial")
         t_end = _get(case, "t_end", float, where=where)
-        _horizon(s0.t, t_end, None, "t_end", where)
-        fam = _family_from({"preset": "scaled-kepler",
-                            "params": {"phi": case.get("phi", "1"), "k": k,
-                                       "L3": L3}}, (s0.t, t_end), where)
+        _horizon(s0.t, t_end, None, f"{where}: key 't_end', {where}.initial: key 't'")
+        fam = _family_from({"preset": "scaled-kepler", "params": {"phi": phi, "k": k, "L3": L3}},
+                           (s0.t, t_end), where)
         traj = dyn.integrate(fam, s0, t_end)
         dev = vf.orbit_angle_check(phi, k, L3, traj)
         tol = _get(case, "tolerance", float, 1e-7, where)
-        name = case.get("name", f"case-{i}")
         checks[f"orbit-{name}"] = vf.CheckResult(dev, tol, dev <= tol)
     return vf.VerificationReport(checks)
 
@@ -429,7 +461,8 @@ def cmd_simulate(args) -> int:
     s0 = _state_from(_get(cfg, "initial", dict))
     t_end = _get(cfg, "t_end", float)
     icfg = _integrator_from(cfg.get("integrator"))
-    _horizon(s0.t, t_end, icfg, "t_end", "config")
+    _horizon(s0.t, t_end, icfg, "config: key 't_end', config.initial: key 't', "
+                                "config.integrator: key 'stride'")
     fam = _family_from(_get(cfg, "family", dict), (s0.t, t_end))
     tol = _get(cfg, "drift_tolerance", float, 1e-7)
     traj = dyn.integrate(fam, s0, t_end, icfg)
@@ -440,11 +473,9 @@ def cmd_simulate(args) -> int:
                "drift": drift, "tolerance": tol,
                "termination": traj.termination, "samples": len(traj),
                "integrator": dataclasses.asdict(traj.stats), "pass": ok}
-    _emit(args, "drift.json", _dump(payload))
+    _emit(args, "drift.json", _dump(payload))  # makes the --out directory
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(outdir / "trajectory.csv")
+        traj.to_csv(Path(args.out) / "trajectory.csv")
     return 0 if ok else 1
 
 
@@ -478,6 +509,8 @@ def cmd_wavefunction(args) -> int:
                                   t0=_get(cfg, "t0", float, 0.0))
     except InvalidParameters as e:
         raise ConfigError(f"config: {e}") from e
+    if not math.isfinite(p.m):
+        raise ConfigError("config: keys 'a', 'L3', 'hbar': the angular index m is not finite")
     grid = _get(cfg, "grid", dict)
     _only(grid, ("r", "theta", "t"), "config.grid")
     def axis(key):
@@ -493,16 +526,17 @@ def cmd_wavefunction(args) -> int:
         raise ConfigError(f"config.grid: keys 'r', 'theta', 't': more than "
                           f"{dyn.MAX_SAMPLES} points")
     t_lo, t_hi = sorted(axes[2][:2])  # the time phase integrates phi^-2 from t0
+    span = "the span of config: key 't0' and config.grid: key 't'"
     try:
         pot.check_profile(p.phi, min(p.t0, t_lo), max(p.t0, t_hi), True, "profile phi")
     except InvalidParameters as e:
-        raise ConfigError(f"config: key 'phi': {e}") from e
+        raise ConfigError(f"config: key 'phi': {e}, {span}") from e
     r_axis, theta_axis, t_axis = (np.linspace(*spec) for spec in axes)
     try:  # the time phase fills the integral of phi^-2 out to both ends
         for t in (t_lo, t_hi):
             p.scaled_time(t)
     except ToleranceNotMet as e:
-        raise ConfigError(f"config: key 't': {e}") from e
+        raise ConfigError(f"config: key 'phi': {e}, {span}") from e
     rows = ["r,theta,t,re_psi,im_psi,abs_psi"]
     for r in r_axis:
         for theta in theta_axis:
@@ -534,7 +568,11 @@ def cmd_binary(args) -> int:
         t_end = periods * 2.0 * math.pi * math.sqrt(r0**3 / G)
     except OverflowError:
         t_end = math.inf
-    _horizon(0.0, t_end, None, "periods", where)
+    _horizon(0.0, t_end, None, "config: key 'periods', 'G' or 'r0'")
+    try:  # the mass law; the family's g1 is half of it
+        pot.check_profile(sf.poly(*braw), 0.0, t_end, True, "mass law b0 + b1 t + b2 t^2")
+    except InvalidParameters as e:
+        raise ConfigError(f"config: key 'b': {e}") from e
     fam = _family_from({"preset": "binary", "params": {
         "G": G, "b0": float(braw[0]), "b1": float(braw[1]), "b2": float(braw[2]),
         "L3": _get(cfg, "L3", float, math.sqrt(G * r0), where)}},
@@ -601,6 +639,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, ToleranceNotMet, StepLimitExceeded) as e:
         print(f"run failed: {e}", file=sys.stderr)
+        return 1
+    except ArithmeticError as e:  # a float overflow or division by zero mid-run
+        print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -151,10 +151,11 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     The state and the stages are lists of floats and `rhs(t, y)` returns a
     list.  Emits dense samples at `sample_times` (ordered from t0 toward
     t_end).  If r_index is given, component r_index falling below r_min
-    terminates with reason "radius_collapse".  Returns the sample columns
-    [t, h_accepted, y_0, ..., y_{n-1}] as lists of floats (no container per
-    sample, so samples add no work for the cyclic GC), the termination
-    reason and IntegratorStats.
+    terminates with reason "radius_collapse", and so does a step-size floor
+    reached while it falls fast enough to reach 0 within 1000 steps.
+    Returns the sample columns [t, h_accepted, y_0, ..., y_{n-1}] as lists
+    of floats (no container per sample, so samples add no work for the
+    cyclic GC), the termination reason and IntegratorStats.
 
     An accepted step only counts the samples it covers and records itself;
     `_DenseBlock` evaluates the recorded steps' samples in blocked numpy
@@ -190,6 +191,11 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     def stats():
         return IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
+    def collided():
+        """At a step-size floor: r falls and would reach 0 within 1000 steps of h."""
+        rate = direction * k1[r_index]
+        return rate < 0.0 and y[r_index] <= 1000.0 * h * -rate
+
     term = "completed"
     try:
         while direction * (t_end - t) > 0.0:
@@ -198,8 +204,8 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                     f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
             h = min(h, cfg.h_max, abs(t_end - t))
             if h <= 1e-14 * max(1.0, abs(t)):
-                # non-extendable solution; a small radius means a collision
-                if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                # non-extendable solution: a collision, or a singular profile
+                if r_index is not None and collided():
                     term = "radius_collapse"
                     break
                 raise StepLimitExceeded(f"step size underflow at t={t!r}")
@@ -230,7 +236,7 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                 retries += 1
                 h *= 0.5
                 if h < 1e-12:
-                    if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                    if r_index is not None and collided():
                         term = "radius_collapse"
                         break
                     raise

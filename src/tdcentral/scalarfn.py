@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -53,7 +55,7 @@ __all__ = [
     "Power", "Exp", "Compose", "Antiderivative",
     "T", "const", "poly", "add", "sub", "mul", "neg", "div",
     "power", "sqrt", "exp", "compose", "antiderivative", "as_fn",
-    "integrate", "QuadratureConfig", "to_text", "parse",
+    "integrate", "to_text", "parse",
 ]
 
 
@@ -301,22 +303,11 @@ class Compose(ScalarFn):
 
 _GL_LOW_X, _GL_LOW_W = np.polynomial.legendre.leggauss(10)
 _GL_HIGH_X, _GL_HIGH_W = np.polynomial.legendre.leggauss(21)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and work limit of adaptive quadrature: an Antiderivative
-    holds at most max_subdivisions panels on each side of t0."""
-
-    rtol: float = 1e-12
-    atol: float = 1e-13
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+# a panel passes when its error gauge is at most max(_ATOL, _RTOL |value|);
+# an Antiderivative holds at most _MAX_PANELS panels on each side of t0
+_RTOL = 1e-12
+_ATOL = 1e-13
+_MAX_PANELS = 200
 
 
 def _panel(f: ScalarFn, a: float, b: float):
@@ -376,16 +367,15 @@ class _PanelTable:
     evaluation order.
 
     A side stops for good when a panel would fall below the width floor or
-    when it already holds cfg.max_subdivisions panels.  If the integrand
+    when it already holds _MAX_PANELS panels.  If the integrand
     raised DomainError on a panel reaching past the last edge (a profile
     zero ahead), that DomainError is raised, otherwise ToleranceNotMet;
     every later request beyond the last edge raises the same.
     """
 
-    def __init__(self, f: ScalarFn, t0: float, cfg: QuadratureConfig):
+    def __init__(self, f: ScalarFn, t0: float):
         self.f = f
         self.t0 = t0
-        self.cfg = cfg
         self.fronts = (_Front(-1.0, t0), _Front(1.0, t0))
         self.edges = [t0]       # sorted panel boundaries
         self.rows = []          # antiderivative coefficients, panel by panel
@@ -410,7 +400,7 @@ class _PanelTable:
 
     def _add_panel(self, front: _Front) -> None:
         a, w, d = front.edge, front.width, front.direction
-        if front.panels >= self.cfg.max_subdivisions:
+        if front.panels >= _MAX_PANELS:
             self._raise_blocked(front)
             raise ToleranceNotMet(f"antiderivative from t0={self.t0!r} needs "
                                   f"more than {front.panels} panels to pass {a!r}")
@@ -424,7 +414,7 @@ class _PanelTable:
                 if front.block is None or d * (b - front.block[0]) < 0.0:
                     front.block = (b, str(e))
             else:
-                target = max(self.cfg.atol, self.cfg.rtol * abs(val))
+                target = max(_ATOL, _RTOL * abs(val))
                 if err <= target:
                     break
             w *= 0.5
@@ -489,10 +479,9 @@ class Antiderivative(ScalarFn):
 
     integrand: ScalarFn
     t0: float = 0.0
-    cfg: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", _PanelTable(self.integrand, self.t0, self.cfg))
+        object.__setattr__(self, "_table", _PanelTable(self.integrand, self.t0))
 
     def _eval(self, t):
         tab = self._table
@@ -802,204 +791,110 @@ def compose(outer, inner) -> ScalarFn:
     return Compose(outer, inner)
 
 
-def antiderivative(integrand, t0: float = 0.0,
-                   cfg: QuadratureConfig | None = None) -> ScalarFn:
+def antiderivative(integrand, t0: float = 0.0) -> ScalarFn:
     integrand = as_fn(integrand)
     if isinstance(integrand, Const) and integrand.value == 0.0:
         return Const(0.0)
-    return Antiderivative(integrand, float(t0),
-                          cfg if cfg is not None else QuadratureConfig())
+    return Antiderivative(integrand, float(t0))
 
 
-def integrate(f: ScalarFn, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
+def integrate(f: ScalarFn, a: float, b: float) -> float:
     """Definite integral of f over [a, b] (signed when b < a): one lookup of
     the Antiderivative of f from a.  A panel touching an integrable endpoint
     singularity such as t^-1/2 at 0 never meets the relative tolerance, so
     such an integral raises ToleranceNotMet."""
-    return float(antiderivative(f, a, cfg)(float(b)))
+    return float(antiderivative(f, a)(float(b)))
 
 
 # ---------------------------------------------------------------------------
 # s-expression serialisation
 # ---------------------------------------------------------------------------
 
+# head -> (builder, allowed argument counts, the arguments that must be
+# numbers, node type printed with this head); "-" and "sqrt" only parse
+_ANY = range(1, sys.maxsize)
+_HEADS = {
+    "poly": (poly, _ANY, slice(None), Poly),
+    "+": (add, _ANY, slice(0), Sum),
+    "-": (lambda a, b=None: neg(a) if b is None else sub(a, b), (1, 2), slice(0), None),
+    "*": (mul, _ANY, slice(0), Product),
+    "/": (lambda n, d, *dom: div(n, d, dom or None), (2, 4), slice(2, None), Quotient),
+    "pow": (lambda b, p, *dom: power(b, p, dom or None), (2, 4), slice(1, None), Power),
+    "sqrt": (sqrt, (1,), slice(0), None),
+    "exp": (exp, (1,), slice(0), Exp),
+    "compose": (compose, (2,), slice(0), Compose),
+    "integral": (antiderivative, (2,), slice(1, None), Antiderivative),
+}
+_HEAD_OF = {node: head for head, (*_, node) in _HEADS.items() if node}
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def to_text(f: ScalarFn) -> str:
-    """Canonical textual form; parse(to_text(f)) == f for constructed trees."""
+    """Canonical textual form; parse(to_text(f)) == f for constructed trees:
+    the children, then the numbers of the node's signature, with an
+    unbounded domain left out."""
     if isinstance(f, Const):
         return _fmt(f.value)
     if isinstance(f, Var):
         return "t"
-    if isinstance(f, Poly):
-        return "(poly " + " ".join(_fmt(c) for c in f.coeffs) + ")"
-    if isinstance(f, Sum):
-        return "(+ " + " ".join(to_text(g) for g in f.terms) + ")"
-    if isinstance(f, Product):
-        return "(* " + " ".join(to_text(g) for g in f.factors) + ")"
-    if isinstance(f, Quotient):
-        dom = _dom_text(f.lo, f.hi)
-        return f"(/ {to_text(f.num)} {to_text(f.den)}{dom})"
-    if isinstance(f, Power):
-        dom = _dom_text(f.lo, f.hi)
-        return f"(pow {to_text(f.base)} {_fmt(f.expo)}{dom})"
-    if isinstance(f, Exp):
-        return f"(exp {to_text(f.arg)})"
-    if isinstance(f, Compose):
-        return f"(compose {to_text(f.outer)} {to_text(f.inner)})"
-    if isinstance(f, Antiderivative):
-        return f"(integral {to_text(f.integrand)} {_fmt(f.t0)})"
-    raise TypeError(f"unknown node type {type(f).__name__}")
-
-
-def _dom_text(lo: float, hi: float) -> str:
-    if lo == -math.inf and hi == math.inf:
-        return ""
-    return f" {_fmt(lo)} {_fmt(hi)}"
-
-
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
-def _num(tok: str):
-    try:
-        return float(tok)
-    except ValueError:
-        return None
+    head = next((_HEAD_OF[c] for c in type(f).__mro__ if c in _HEAD_OF), None)
+    if head is None:
+        raise TypeError(f"unknown node type {type(f).__name__}")
+    numbers = [c for v in f._signature() for c in (v if isinstance(v, tuple) else (v,))]
+    if isinstance(f, (Quotient, Power)) and f.lo == -math.inf and f.hi == math.inf:
+        numbers = numbers[:-2]
+    return f"({head} " + " ".join([*map(to_text, f._children()), *map(_fmt, numbers)]) + ")"
 
 
 def parse(text: str, params: dict | None = None) -> ScalarFn:
     """Parse the s-expression form. `params` maps bare symbols to numbers.
 
-    Heads: poly + - * / pow sqrt exp compose integral; atoms: numbers,
-    `t`, `inf`, `-inf`, and names bound in params.
+    Heads: the keys of _HEADS; atoms: numbers, `t`, `inf`, `-inf`, and
+    names bound in params.
     """
-    toks = _tokenize(text)
+    toks = _TOKEN.findall(text)[::-1]  # a stack: the next token is last
     if not toks:
         raise ParseError("empty expression")
-    pos = 0
-
-    def atom(tok: str) -> ScalarFn:
-        if tok == "t":
-            return T
-        v = _num(tok)
-        if v is not None:
-            return Const(v)
-        if params is not None and tok in params:
-            return Const(float(params[tok]))
-        raise ParseError(f"unknown symbol {tok!r}")
-
-    def number(tok: str) -> float:
-        v = _num(tok)
-        if v is None:
-            if params is not None and tok in params:
-                return float(params[tok])
-            raise ParseError(f"expected a number, got {tok!r}")
-        return v
 
     def expr() -> ScalarFn:
-        nonlocal pos
-        if pos >= len(toks):
+        if not toks:
             raise ParseError("unexpected end of expression")
-        tok = toks[pos]
-        pos += 1
+        tok = toks.pop()
         if tok == ")":
             raise ParseError("unexpected ')'")
-        if tok != "(":
-            return atom(tok)
-        if pos >= len(toks):
-            raise ParseError("unexpected end after '('")
-        head = toks[pos]
-        pos += 1
-        args: list[ScalarFn] = []
-        while True:
-            if pos >= len(toks):
-                raise ParseError("missing ')'")
-            if toks[pos] == ")":
-                pos += 1
-                break
-            args.append(expr())
-        return build(head, args)
-
-    def build(head: str, args: list[ScalarFn]) -> ScalarFn:
-        if head == "poly":
-            cs = []
-            for a in args:
-                if not isinstance(a, Const):
-                    raise ParseError("poly takes numeric coefficients")
-                cs.append(a.value)
-            if not cs:
-                raise ParseError("poly needs at least one coefficient")
-            return poly(*cs)
-        if head == "+":
-            if not args:
-                raise ParseError("+ needs arguments")
-            return add(*args)
-        if head == "-":
-            if len(args) == 1:
-                return neg(args[0])
-            if len(args) == 2:
-                return sub(args[0], args[1])
-            raise ParseError("- takes one or two arguments")
-        if head == "*":
-            if not args:
-                raise ParseError("* needs arguments")
-            return mul(*args)
-        if head == "/":
-            if len(args) == 2:
-                return div(args[0], args[1])
-            if len(args) == 4:
-                return div(args[0], args[1], _interval(args[2], args[3]))
-            raise ParseError("/ takes (num den) or (num den lo hi)")
-        if head == "pow":
-            if len(args) == 2:
-                return power(args[0], _const_val(args[1]))
-            if len(args) == 4:
-                return power(args[0], _const_val(args[1]),
-                             _interval(args[2], args[3]))
-            raise ParseError("pow takes (base expo) or (base expo lo hi)")
-        if head == "sqrt":
-            if len(args) != 1:
-                raise ParseError("sqrt takes one argument")
-            return sqrt(args[0])
-        if head == "exp":
-            if len(args) != 1:
-                raise ParseError("exp takes one argument")
-            return exp(args[0])
-        if head == "compose":
-            if len(args) != 2:
-                raise ParseError("compose takes two arguments")
-            return compose(args[0], args[1])
-        if head == "integral":
-            if len(args) != 2:
-                raise ParseError("integral takes (integrand t0)")
-            return antiderivative(args[0], _const_val(args[1]))
-        raise ParseError(f"unknown operator {head!r}")
-
-    def _const_val(a: ScalarFn) -> float:
-        if not isinstance(a, Const):
-            raise ParseError("expected a numeric argument")
-        return a.value
-
-    def _interval(a: ScalarFn, b: ScalarFn):
-        return (_const_val(a), _const_val(b))
+        if tok == "(":
+            if not toks:
+                raise ParseError("unexpected end after '('")
+            head = toks.pop()
+            args = []
+            while toks[-1:] != [")"]:
+                if not toks:
+                    raise ParseError("missing ')'")
+                args.append(expr())
+            toks.pop()
+            if head not in _HEADS:
+                raise ParseError(f"unknown operator {head!r}")
+            build, counts, numeric, _ = _HEADS[head]
+            if len(args) not in counts:
+                allowed = "one or more" if counts is _ANY else " or ".join(map(str, counts))
+                raise ParseError(f"{head}: {len(args)} arguments, expected {allowed}")
+            for i in range(len(args))[numeric]:
+                if not isinstance(args[i], Const):
+                    raise ParseError(f"{head}: argument {i + 1} must be a number, "
+                                     f"got {to_text(args[i])}")
+                args[i] = args[i].value
+            return build(*args)
+        if tok == "t":
+            return T
+        try:
+            return Const(float(tok))
+        except ValueError:
+            if params is not None and tok in params:
+                return Const(float(params[tok]))
+        raise ParseError(f"unknown symbol {tok!r}")
 
     out = expr()
-    if pos != len(toks):
-        raise ParseError(f"trailing tokens after expression: {toks[pos:]}")
+    if toks:
+        raise ParseError(f"trailing tokens after expression: {toks[::-1]}")
     return out
+

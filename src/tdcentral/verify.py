@@ -30,9 +30,9 @@ from scipy.integrate import cumulative_simpson
 
 from . import dynamics as dyn
 from . import scalarfn as sf
-from .errors import BranchAmbiguity, InvalidParameters
+from .errors import BranchAmbiguity
 from .potentials import FamilyA, FamilyB, LewisLeach1d, _CentralFamily, \
-    ermakov_residuals
+    check_profile, ermakov_residuals
 from .scalarfn import as_fn
 
 __all__ = [
@@ -101,13 +101,20 @@ class VerificationReport:
         return VerificationReport(both, self.plan or other.plan)
 
 
+# tolerances of the sampled checks
+_PDE_TOL = 1e-9
+_NOETHER_CONFIG_TOL = 1e-9
+_NOETHER_VELOCITY_TOL = 1e-13
+_DRIFT_TOL = 1e-7
+_PROFILE_TOL = 1e-10
+
+
 def _check(values, tol, required=True) -> CheckResult:
     worst = float(np.max(np.abs(np.asarray(values, dtype=float))))
     return CheckResult(worst, tol, worst <= tol, required)
 
 
-def pde_residuals(fam, plan: SamplingPlan | None = None,
-                  tol: float = 1e-9) -> VerificationReport:
+def pde_residuals(fam, plan: SamplingPlan | None = None) -> VerificationReport:
     """Residuals of the three defining conditions linking U, K and profiles.
 
     R1 = K_r - 2 g1 U_r - g1'' r + g2'
@@ -135,15 +142,13 @@ def pde_residuals(fam, plan: SamplingPlan | None = None,
           + 2.0 * g1 * fam.d2U_dtdr(t, r) + 3.0 * g1d * ur
           + g1ddd * r - g2dd)
     return VerificationReport({
-        "pde-r1": _check(r1, tol),
-        "pde-r2": _check(r2, tol),
-        "pde-r3": _check(r3, tol),
+        "pde-r1": _check(r1, _PDE_TOL),
+        "pde-r2": _check(r2, _PDE_TOL),
+        "pde-r3": _check(r3, _PDE_TOL),
     }, plan)
 
 
-def noether_check(fam, plan: SamplingPlan | None = None,
-                  tol_config: float = 1e-9,
-                  tol_velocity: float = 1e-13) -> VerificationReport:
+def noether_check(fam, plan: SamplingPlan | None = None) -> VerificationReport:
     """Gauged Noether conditions for L = rdot^2/2 - U with gauge xi = 0.
 
     velocity condition: (d eta1/d rdot)(dL/d rdot) - df/d rdot  (identity)
@@ -165,8 +170,8 @@ def noether_check(fam, plan: SamplingPlan | None = None,
     cfg_res = (eta1 * (-fam.dU_dr(t, r)) + (deta1_dt + rd * g1d) * rd
                - df_dt - rd * df_dr)
     return VerificationReport({
-        "noether-config": _check(cfg_res, tol_config),
-        "noether-velocity": _check(vel_res, tol_velocity),
+        "noether-config": _check(cfg_res, _NOETHER_CONFIG_TOL),
+        "noether-velocity": _check(vel_res, _NOETHER_VELOCITY_TOL),
     }, plan)
 
 
@@ -178,7 +183,7 @@ def rescaled_shape_recovery(phi, Fbar, L3: float, grid=None) -> float:
     The family's shape function is Fbar composed with u/sqrt(2), which
     makes the equality exact; the centrifugal term appears identically on
     both sides.  Each side is evaluated once on the (ts, rs) meshgrid.
-    Raises InvalidParameters when phi vanishes at a grid time.
+    Raises InvalidParameters when phi vanishes on the grid's time span.
     """
     phi = as_fn(phi)
     Fbar = as_fn(Fbar)
@@ -186,13 +191,11 @@ def rescaled_shape_recovery(phi, Fbar, L3: float, grid=None) -> float:
         grid = (np.linspace(0.0, 2.0, 20), np.linspace(0.5, 3.0, 20))
     t, r = np.meshgrid(np.asarray(grid[0], dtype=float),
                        np.asarray(grid[1], dtype=float), indexing="ij")
+    check_profile(phi, t.min(), t.max(), False, "scale profile phi")
     g1 = sf.mul(0.5, sf.power(phi, 2))
     fam = FamilyB(g1, 0.0, sf.compose(Fbar, sf.poly(0.0, 2.0 ** -0.5)), L3)
     with np.errstate(all="ignore"):  # a singular shape fails as a nan difference
         pv = np.broadcast_to(phi(t), t.shape)
-        if not pv.all():
-            raise InvalidParameters(f"scale profile phi = {sf.to_text(phi)} "
-                                    f"vanishes at t = {t[pv == 0.0][0] + 0.0:.12g}")
         direct = (-0.5 * phi.d().d()(t) / pv * r * r + Fbar(r / pv) / (pv * pv)
                   - 0.5 * L3 * L3 / (r * r))
         return float(np.max(np.abs(fam.V(t, r) - direct)))
@@ -264,28 +267,31 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
     return float(worst)
 
 
-def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState, t_end: float,
-                       cfg: dyn.IntegratorConfig | None = None,
-                       drift_tol: float = 1e-7,
-                       profile_tol: float = 1e-10) -> VerificationReport:
+def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState,
+                       t_end: float) -> VerificationReport:
     """Profile-condition residuals plus invariant drift for the 1d system.
 
     Both bracket readings of the invariant are evaluated along the same
     trajectory: the coordinate-rate reading gates the report, the
     profile-rate reading is recorded as informational evidence that it is
-    not conserved.
+    not conserved.  Profiles that fail their conditions carry no conserved
+    invariant, so such a report holds the two condition checks alone and
+    nothing is integrated.
     """
-    traj = dyn.integrate(fam, s0, t_end, cfg)
     ts = np.linspace(min(s0.t, t_end), max(s0.t, t_end), 41)
     res1, res2 = ermakov_residuals(fam.rho, fam.alpha, fam.Omega, fam.F1,
                                    fam.k, ts)
+    checks = {"ermakov-profile": _check(res1, _PROFILE_TOL),
+              "ermakov-center": _check(res2, _PROFILE_TOL)}
+    if not all(c.passed for c in checks.values()):
+        return VerificationReport(checks)
+    traj = dyn.integrate(fam, s0, t_end)
     drift = dyn.drift_report(traj, fam.fi)
     literal = dyn.drift_report(traj, fam.fi_profile_rate)
     return VerificationReport({
-        "ermakov-profile": _check(res1, profile_tol),
-        "ermakov-center": _check(res2, profile_tol),
-        "invariant-drift": _check([drift], drift_tol),
-        "literal-bracket-drift": _check([literal], drift_tol, required=False),
+        **checks,
+        "invariant-drift": _check([drift], _DRIFT_TOL),
+        "literal-bracket-drift": _check([literal], _DRIFT_TOL, required=False),
     })
 
 

@@ -1,6 +1,10 @@
 """Exit codes, artifact layout, and byte determinism of the command line."""
 
+import copy
+import inspect
 import json
+import math
+import re
 import tempfile
 import time
 import warnings
@@ -9,10 +13,11 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdcentral import cli
+from tdcentral import potentials as pot
 from tdcentral.cli import main
 from tdcentral.dynamics import MAX_SAMPLES
 from tdcentral.quantum import MAX_NODES
@@ -398,7 +403,8 @@ class TestRunSpan:
             warnings.simplefilter("always")
             rc = main(["wavefunction", "--config", path, "--out", str(tmp_path / "wf")])
         err = capsys.readouterr().err
-        assert rc == 2 and "config: key 't'" in err and "200 panels" in err
+        assert rc == 2 and "config: key 'phi'" in err and "200 panels" in err
+        assert "config.grid: key 't'" in err
         assert "Traceback" not in err and "Warning" not in err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
@@ -407,7 +413,8 @@ class TestRunSpan:
         rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "rescaling"],
                            {"rescaling": {"cases": [{"phi": "1", "shape": "0"}, case]}})
         assert rc == 2
-        assert "config.rescaling.cases[1]: key 'phi': scale profile phi = t vanishes at t = 0" in err
+        assert ("config.rescaling.cases[1]: key 'phi': scale profile phi = t on [0, 2]: "
+                "vanishes at t = 0") in err
 
     @pytest.mark.parametrize("phi,t0,t_axis,rc,span", [
         ("(poly 1 -1)", 0.0, [0.0, 2.0, 3], 2, "on [0, 2]: vanishes at t = 1"),
@@ -439,11 +446,20 @@ class TestRunSpan:
                                                   "rho": "(poly 1 -0.5)"}}})
         assert rc == 2 and "config.ermakov.system" in err and "t = 2" in err
 
+    def test_rescaling_phi_zero_between_grid_times(self, tmp_path, capsys):
+        # g1 = phi^2/2 vanishes at t = 1, which no grid time hits exactly
+        case = {"phi": "(poly 1 -1)", "shape": "(pow t 2)", "L3": 1.0}
+        rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "rescaling"],
+                           {"rescaling": {"cases": [case]}})
+        assert rc == 2
+        assert ("config.rescaling.cases[0]: key 'phi': scale profile phi = (poly 1 -1) "
+                "on [0, 2]: vanishes at t = 1") in err
+
     def test_binary_span(self, tmp_path, capsys):
         # the mass law 1 - t/30 fails at t = 30, inside ten periods (62.8)
         rc, err = self.run(tmp_path, capsys, ["binary"],
                            {"b": [1.0, -1.0 / 30.0, 0.0]})
-        assert rc == 2 and "config: binary" in err and "t = 30" in err
+        assert rc == 2 and "config: key 'b': mass law" in err and "t = 30" in err
 
 
     @pytest.mark.parametrize("argv,cfg,message", [
@@ -459,6 +475,44 @@ class TestRunSpan:
     def test_horizon_bounded(self, tmp_path, capsys, argv, cfg, message):
         rc, err = self.run(tmp_path, capsys, argv, cfg)
         assert rc == 2 and message in err
+
+
+class TestRunFailures:
+    """Runs at the edges of their inputs; the overflow repros are @examples
+    of test_one_changed_key_keeps_exit_contract."""
+
+    def test_inline_quadratic_takes_a_large_L3(self, tmp_path, capsys):
+        # the oscillator preset squares L3 in its shape; F given inline does not
+        cfg = oscillator_config(t_end=2.0, family={"kind": "quadratic", "g1": "(poly 1 0 1)",
+                                                   "L3": 1e200})
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+
+    def test_steps_cannot_reach_t_end(self, tmp_path, capsys):
+        # 500000 steps of at most 1e-6 cover 0.5 of the 2.0 asked for
+        cfg = oscillator_config(t_end=2.0, integrator={"h_max": 1e-6})
+        start = time.perf_counter()
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "config error: config.integrator: keys 'h_max', 'max_steps'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("r_min", [1e-12, 1e-100, 1e-300])
+    def test_plunge_collides_at_any_r_min(self, tmp_path, capsys, r_min):
+        # radial free fall: the run ends in radius_collapse and writes the same
+        # artifacts as with the default r_min
+        plunge = oscillator_config(t_end=2.0, family={
+            "preset": "generalized-kepler",
+            "params": {"nu": 1.0, "k": 1.0, "b0": 1.0, "L3": 0.0}})
+        runs = []
+        for integrator in ({}, {"r_min": r_min}):
+            out = tmp_path / f"out-{len(runs)}"
+            cfg = write_config(tmp_path, {**plunge, "integrator": integrator})
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == ""
+            runs.append([(out / name).read_bytes() for name in ("drift.json", "trajectory.csv")])
+        assert runs[0] == runs[1]
+        assert json.loads(runs[1][0])["termination"] == "radius_collapse"
 
 
 class TestListPresets:
@@ -597,6 +651,24 @@ class TestOrbit:
         assert main(["orbit"]) == 2
         assert "invalid choice: 'orbit'" in capsys.readouterr().err
 
+    def case(self, **extra):
+        return {"phi": "1", "L3": 0.5, "t_end": 1.5,
+                "initial": {"t": 0.0, "r": 1.2, "rdot": 0.2}, **extra}
+
+    @pytest.mark.parametrize("cases,message", [
+        # the failing first case would vanish behind the second's report entry
+        ([{"name": "a", "tolerance": 1e-30}, {"name": "a"}],
+         "config.orbit.cases[1]: key 'name': 'a' names an earlier case"),
+        ([{"name": "case-2"}, {}],
+         "config.orbit.cases[1]: key 'name': 'case-2' names an earlier case"),
+        ([{"name": [1]}], "config.orbit.cases[0]: key 'name' has the wrong type"),
+    ], ids=["repeated", "default-name", "not-a-string"])
+    def test_case_keys(self, tmp_path, capsys, cases, message):
+        path = write_config(tmp_path, {"orbit": {"cases": [self.case(**c) for c in cases]}})
+        assert main(["verify", "--suite", "orbit", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestWavefunction:
     def grid_config(self, tmp_path):
@@ -637,18 +709,21 @@ class TestBinary:
         capsys.readouterr()
 
 
-# -- property: any plan or grid object exits 0, 1 or 2, never a traceback ----
+# -- property: any one changed key exits 0, 1 or 2, never a traceback ------
 
 _junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                   st.just([]), st.just({}))
 _number = st.one_of(st.integers(-10, 10), st.floats(allow_nan=True, allow_infinity=True),
-                    st.sampled_from([1e300, -1e300, 10**400]))
+                    st.sampled_from([0, 1e-300, -1e-300, 1e200, -1e200, 1e300, -1e300,
+                                     10**400]))
 # counts stay small, apart from the values beyond the cap, so that no drawn
 # case starts unbounded work
 _count = st.one_of(st.integers(-2, 2000),
                    st.sampled_from([MAX_SAMPLES + 1, 10**12, 10**400]))
 _value = st.one_of(st.integers(-3, 3), _number, _count, _junk, st.lists(_number, max_size=4),
-                   st.tuples(_number, _number, _count).map(list))
+                   st.tuples(_number, _number, _count).map(list),
+                   st.sampled_from(["(poly 1 -1)", "(pow t 400)", "(poly 0 1)", "t",
+                                    "(exp (poly 0 800))", "(pow t -1 0 inf)"]))
 
 
 def _span(lo, hi):
@@ -664,6 +739,96 @@ _grids = st.fixed_dictionaries({
     key: st.tuples(_span(*span), st.integers(1, 12)).map(lambda a: [*a[0], a[1]])
     for key, span in (("r", (0.1, 5.0)), ("theta", (0.0, 7.0)), ("t", (-5.0, 5.0)))})
 
+_INITIAL = {"t": 0.0, "r": 1.0, "rdot": 0.0, "theta": 0.0}
+_INLINE = {
+    "linear": {"kind": "linear", "g2": "(poly 1 0 0.1)", "g": "(* 0.2 t)", "L3": 0.8},
+    "quadratic": {"kind": "quadratic", "g1": "(poly 1 0 0.25)", "g2": "(poly 0.3 0.1)",
+                  "F": "(+ (pow t 2) (* 2 (pow t -2)))", "L3": 0.7, "t0": 0.0},
+    "driven-1d": {**cli._default_driven_1d()["system"]},
+}
+
+
+def _simulate(family):
+    # short runs: t_end <= 2 and at most 5000 steps, whose h_max covers
+    # every span the horizon check lets through
+    return {"family": family, "initial": dict(_INITIAL), "t_end": 2.0,
+            "integrator": {"max_steps": 5000, "h_max": 2.0}}
+
+
+_ORBIT = {**cli._default_orbit_cases()[0], "initial": {"t": 0.0, "r": 1.2, "rdot": 0.2}}
+
+
+def _targets():
+    """name -> (argv, base config, path to the changed object, its config
+    location, its keys); a key outside them tests the unknown-key message."""
+    osc = oscillator_config()["family"]
+    orbit = _ORBIT
+    ermakov = {**cli._default_driven_1d(), "t_end": 2.0}
+    wave = {"a": 1.0, "b": 1, "phi": "(sqrt (poly 1 0 1))",
+            "grid": {"r": [0.5, 2.0, 3], "theta": [0.0, 1.0, 2], "t": [0.0, 1.0, 2]}}
+    out = {
+        "simulate": (["simulate"], _simulate(osc), (), "config",
+                     ["family", "initial", "t_end", "integrator", "drift_tolerance"]),
+        "family": (["simulate"], _simulate(osc), ("family",), "config.family",
+                   ["preset", "params", "perturb"]),
+        "initial": (["simulate"], _simulate(osc), ("initial",), "config.initial",
+                    list(_INITIAL)),
+        "integrator": (["simulate"], _simulate(osc), ("integrator",), "config.integrator",
+                       ["rtol", "atol", "h_init", "h_max", "max_steps", "stride", "r_min"]),
+        "verify": (["verify"], {}, (), "config",
+                   ["family", "plan", "rescaling", "orbit", "ermakov", "radial-mode"]),
+        "plan": (["verify", "--suite", "pde"], {"plan": {}}, ("plan",), "config.plan",
+                 ["t_range", "r_range", "rdot_range", "count", "seed"]),
+        "rescaling": (["verify", "--suite", "rescaling"],
+                      {"rescaling": {"cases": [cli._default_rescaling_cases()[1]]}},
+                      ("rescaling", "cases", 0), "config.rescaling.cases[0]",
+                      ["phi", "shape", "L3"]),
+        "orbit": (["verify", "--suite", "orbit"], {"orbit": {"cases": [orbit]}},
+                  ("orbit", "cases", 0), "config.orbit.cases[0]", list(orbit)),
+        "orbit-initial": (["verify", "--suite", "orbit"], {"orbit": {"cases": [orbit]}},
+                          ("orbit", "cases", 0, "initial"), "config.orbit.cases[0].initial",
+                          list(_INITIAL)),
+        "ermakov": (["verify", "--suite", "ermakov"], {"ermakov": ermakov}, ("ermakov",),
+                    "config.ermakov", ["system", "initial", "t_end"]),
+        "ermakov-system": (["verify", "--suite", "ermakov"], {"ermakov": ermakov},
+                           ("ermakov", "system"), "config.ermakov.system",
+                           list(ermakov["system"]) + ["perturb"]),
+        "ermakov-initial": (["verify", "--suite", "ermakov"], {"ermakov": ermakov},
+                            ("ermakov", "initial"), "config.ermakov.initial", list(_INITIAL)),
+        "radial-mode": (["verify", "--suite", "radial-mode"], {"radial-mode": {}},
+                        ("radial-mode",), "config.radial-mode",
+                        ["a_values", "b_values", "hbar_values", "L3"]),
+        "wavefunction": (["wavefunction"], wave, (), "config",
+                         ["a", "b", "hbar", "L3", "phi", "t0", "grid"]),
+        "grid": (["wavefunction"], wave, ("grid",), "config.grid", ["r", "theta", "t"]),
+        "binary": (["binary"], {"periods": 1.0}, (), "config",
+                   ["G", "b", "r0", "periods", "tolerance", "L3"]),
+    }
+    for name, _ in pot.catalog():
+        params = [k for k in inspect.signature(pot._REGISTRY[name][0]).parameters
+                  if k != "label"]
+        out[f"preset-{name}"] = (["simulate"], _simulate({"preset": name, "params": {}}),
+                                 ("family", "params"), "config.family", params)
+    for kind, family in _INLINE.items():
+        out[f"kind-{kind}"] = (["simulate"], _simulate(family), ("family",),
+                               "config.family", list(family) + ["perturb"])
+    return out
+
+
+_TARGETS = _targets()
+# the verify subcommand runs the one suite that reads the changed top-level key
+_SUITE_OF = {"family": "pde", "plan": "pde", "rescaling": "rescaling", "orbit": "orbit",
+             "ermakov": "ermakov", "radial-mode": "radial-mode"}
+
+
+@st.composite
+def _changes(draw):
+    """(target, object to place at its path or None, key or None, value)."""
+    name = draw(st.sampled_from(sorted(_TARGETS)))
+    obj = draw({"plan": _plans, "grid": _grids}.get(name, st.none()))
+    key = draw(st.one_of(st.none(), st.just("bogus"), st.sampled_from(_TARGETS[name][4])))
+    return name, obj, key, draw(_value)
+
 
 def _run_cli(argv, cfg):
     """Exit code and stderr of one in-process run on a config object; an
@@ -677,37 +842,100 @@ def _run_cli(argv, cfg):
     return rc, err.getvalue()
 
 
+def _names(err, where, key):
+    """Whether a config error names `key` of the object at `where`: as the
+    object `where.key`, or as `where: ` and the key as a word."""
+    word = re.compile(rf"(?<![\w-]){re.escape(key)}(?![\w-])")
+    return err.startswith("config error: ") and (
+        f"{where}.{key}" in err or f"{where}: " in err and word.search(err) is not None)
+
+
 def assert_exit_contract(argv, cfg, where, key):
+    start = time.perf_counter()
     rc, err = _run_cli(argv, cfg)
+    assert time.perf_counter() - start < 5.0
     assert rc in (0, 1, 2) and "Traceback" not in err
+    if rc == 1:  # a failed check says nothing; a run that stopped says why
+        assert err == "" or err.startswith(("run failed: ", "verification failed: ")), err
     if rc == 2:  # only the changed key can be at fault, and the message names it
-        assert key is not None and f"config error: {where}: " in err, err
-        assert repr(key) in err or f"{where}: {key} " in err, err
+        assert key is not None and _names(err, where, key), err
 
 
-@settings(max_examples=50, deadline=None)
-@given(_plans, st.sampled_from([None, "t_range", "r_range", "rdot_range", "count",
-                                "seed", "bogus"]), _value)
-@example({}, "count", 10**12)
-@example({}, "count", MAX_SAMPLES + 1)
-@example({}, "seed", -1)
-@example({}, "r_range", [0.0, 1.0])
-def test_plan_objects_keep_exit_contract(plan, key, value):
+def _heavy(name, cfg):
+    """Whether a config asks for seconds of valid work: a binary span of 100
+    to 10^4 (MAX_SAMPLES strides), or an ermakov start of |q| or |qdot|
+    above 100, where the default system's G = w^4 makes the motion stiff
+    (at q = 2000 it takes 4.7 s to reach t = 2 on two cores)."""
+    try:
+        if name == "binary":
+            g = {"G": 1.0, "r0": 1.0, **cfg}
+            span = float(g["periods"]) * 2.0 * math.pi * math.sqrt(
+                float(g["r0"]) ** 3 / float(g["G"]))
+            return 100.0 < span <= 1e4
+        if name == "ermakov-initial":
+            s0 = cfg["ermakov"]["initial"]
+            return not (abs(float(s0["r"])) <= 100.0 and abs(float(s0["rdot"])) <= 100.0)
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        pass
+    return False
+
+
+_PLUNGE = {**_simulate({"preset": "generalized-kepler",
+                        "params": {"nu": 1.0, "k": 1.0, "b0": 1.0, "L3": 0.0}}),
+           "integrator": {"max_steps": 5000, "h_max": 2.0, "r_min": 1e-100}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_changes())
+# plan and grid objects
+@example(("plan", {}, "count", 10**12))
+@example(("plan", {}, "count", MAX_SAMPLES + 1))
+@example(("plan", {}, "seed", -1))
+@example(("plan", {}, "r_range", [0.0, 1.0]))
+@example(("plan", {"t_range": [0.0, -0.0]}, None, None))
+@example(("grid", {"r": [0.5, 1.0, 2], "theta": [0.0, 1.0, 2]}, "t", [0.0, 1.0, 10**12]))
+@example(("grid", {"r": [0.5, 1.0, 1001], "theta": [0.0, 1.0, 1000]}, "t", [0.0, 1.0, 1]))
+# values that ended in a traceback: a division by k, an infinite phase, and
+# float ** overflowing in a potential, a preset shape and the right-hand side
+@example(("orbit", None, "k", 0.0))
+@example(("wavefunction", None, "a", 1e300))
+@example(("rescaling", None, "L3", 1e200))
+@example(("preset-oscillator", None, "L3", 1e200))
+@example(("binary", None, "L3", 1e300))
+@example(("wavefunction", None, "L3", 1e300))
+@example(("simulate", {**_simulate({"preset": "interatomic", "params": {}}),
+                       "initial": {**_INITIAL, "r": 1e-30}}, None, None))
+@example(("simulate", {**_simulate({"preset": "generalized-kepler", "params": {"nu": 400}}),
+                       "initial": {**_INITIAL, "r": 0.1}}, None, None))
+@example(("preset-yukawa", None, "b1", 1e200))
+# orbit case names: repeated, equal to a default name, not a string
+@example(("verify", None, "orbit", {"cases": [{**_ORBIT, "name": "a", "tolerance": 1e-30},
+                                              {**_ORBIT, "name": "a"}]}))
+@example(("verify", None, "orbit", {"cases": [{**_ORBIT, "name": "case-2"}, _ORBIT]}))
+@example(("orbit", None, "name", [1]))
+# a scale profile that vanishes between the rescaling grid's times
+@example(("rescaling", None, "phi", "(poly 1 -1)"))
+# a collision with a tiny r_min, and a step bound that cannot reach t_end
+@example(("simulate", _PLUNGE, None, None))
+@example(("integrator", None, "h_max", 1e-6))
+def test_one_changed_key_keeps_exit_contract(change):
+    name, obj, key, value = change
+    argv, cfg, path, where, _ = copy.deepcopy(_TARGETS[name])
+    if not path and obj is not None:
+        cfg = copy.deepcopy(obj)
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    if path and obj is not None:
+        node[path[-1]] = obj
+    if path:
+        node = node[path[-1]]
     if key is not None:
-        plan[key] = value
-    assert_exit_contract(["verify", "--suite", "pde"], {"plan": plan},
-                         "config.plan", key)
-
-
-@settings(max_examples=50, deadline=None)
-@given(_grids, st.sampled_from([None, "r", "theta", "t", "phi"]), _value)
-@example({"r": [0.5, 1.0, 2], "theta": [0.0, 1.0, 2]}, "t", [0.0, 1.0, 10**12])
-@example({"r": [0.5, 1.0, 1001], "theta": [0.0, 1.0, 1000]}, "t", [0.0, 1.0, 1])
-def test_grid_objects_keep_exit_contract(grid, key, value):
-    if key is not None:
-        grid[key] = value
-    assert_exit_contract(["wavefunction"], {"a": 1.0, "b": 1, "grid": grid},
-                         "config.grid", key)
+        node[key] = value
+    if argv == ["verify"]:
+        argv = ["verify", "--suite", _SUITE_OF.get(key, "pde")]
+    assume(not _heavy(name, cfg))
+    assert_exit_contract(argv, cfg, where, key)
 
 
 class TestUsage:

@@ -148,6 +148,18 @@ class TestIntegrate:
         assert traj.t[-1] < 1.2  # the plunge ends near t = pi/(2 sqrt(2))
         assert np.all(traj.r > 0)
 
+    @pytest.mark.parametrize("r_min", [1e-12, 1e-100, 1e-300])
+    def test_collision_decided_from_the_state(self, r_min):
+        # the plunge reaches the step-size floor at r = 6.5e-9, rdot = -1.8e4
+        # whatever r_min is: r falls and would reach 0 within 1000 such steps
+        fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.0).family
+        s0 = PolarState(0.0, 1.0, 0.0)
+        want = dyn.integrate(fam, s0, 2.0)
+        got = dyn.integrate(fam, s0, 2.0, IntegratorConfig(r_min=r_min))
+        assert got.termination == want.termination == "radius_collapse"
+        assert got.stats == want.stats
+        assert got.t.tolist() == want.t.tolist() and got.r.tolist() == want.r.tolist()
+
     def test_step_limit(self):
         fam = eccentric_kepler()
         with pytest.raises(StepLimitExceeded):
@@ -266,6 +278,13 @@ class TestCsv:
 
 # -- the float stepper against the numpy stage arithmetic it replaced --------
 
+def _collided(y, k1, h, direction, r_index):
+    """The stepper's collision test at a step-size floor: r falls and would
+    reach 0 within 1000 steps of h."""
+    rate = direction * k1[r_index]
+    return rate < 0.0 and y[r_index] <= 1000.0 * h * -rate
+
+
 def _reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                     r_min=0.0):
     """DP5(4) with the state and the stages as numpy vectors: the loop the
@@ -289,7 +308,7 @@ def _reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     while direction * (t_end - t) > 0.0:
         h = min(h, cfg.h_max, abs(t_end - t))
         if h <= 1e-14 * max(1.0, abs(t)):
-            assert r_index is not None and y[r_index] <= 1000.0 * r_min
+            assert r_index is not None and _collided(y, k1, h, direction, r_index)
             return samples, hs, "radius_collapse"
         hd = direction * h
         try:
@@ -303,7 +322,7 @@ def _reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
         except DomainError:
             h *= 0.5
             if h < 1e-12:
-                assert r_index is not None and y[r_index] <= 1000.0 * r_min
+                assert r_index is not None and _collided(y, k1, h, direction, r_index)
                 return samples, hs, "radius_collapse"
             continue
         err_vec = hd * sum(dyn._E[j] * K[j] for j in range(7))
@@ -562,7 +581,7 @@ def _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                 f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
         h = min(h, cfg.h_max, abs(t_end - t))
         if h <= 1e-14 * max(1.0, abs(t)):
-            if r_index is not None and y[r_index] <= 1000.0 * r_min:
+            if r_index is not None and _collided(y, k1, h, direction, r_index):
                 return samples, "radius_collapse", stats()
             raise StepLimitExceeded(f"step size underflow at t={t!r}")
         hd = direction * h
@@ -580,7 +599,7 @@ def _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
             retries += 1
             h *= 0.5
             if h < 1e-12:
-                if r_index is not None and y[r_index] <= 1000.0 * r_min:
+                if r_index is not None and _collided(y, k1, h, direction, r_index):
                     return samples, "radius_collapse", stats()
                 raise
             continue

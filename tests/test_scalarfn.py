@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -222,13 +223,6 @@ class TestIntegrate:
         rhs = c * sf.integrate(f, 0, 2) + sf.integrate(g, 0, 2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_tolerance_not_met(self):
-        # integrable endpoint singularity starves a tiny subdivision budget
-        f = sf.power(sf.T, -0.5, (0, math.inf))
-        cfg = sf.QuadratureConfig(rtol=1e-13, atol=1e-14, max_subdivisions=3)
-        with pytest.raises(ToleranceNotMet):
-            sf.integrate(f, 0.0, 1.0, cfg)
-
     def test_endpoint_singularity_not_integrable(self):
         # bisection reaches int_0^1 t^-1/2 = 2; a panel of the table that
         # touches t = 0 keeps its relative error however often it is halved
@@ -244,12 +238,6 @@ class TestIntegrate:
             ref = bisection_integrate(f, a, b)
             assert sf.integrate(f, a, b) == pytest.approx(ref, rel=1e-12)
             assert sf.integrate(f, b, a) == pytest.approx(-ref, rel=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(rtol=0.0)
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(max_subdivisions=0)
 
 
 class TestAntiderivative:
@@ -370,9 +358,12 @@ class TestTextForm:
             assert sf.parse(sf.to_text(f)) == f
 
     def test_parse_errors(self):
-        bad = ["", "(", "(+ 1", "(+ )", "(pow t)", "nosuch", "(frob 1 2)", "1 2"]
-        for txt in bad:
-            with pytest.raises(ParseError):
+        # each message names the head or the token at fault
+        bad = {"": "empty", "(": "'('", "(+ 1": "')'", "(+ )": "+", "(pow t)": "pow",
+               "nosuch": "'nosuch'", "(frob 1 2)": "'frob'", "1 2": "'2'",
+               "(poly t)": "poly", "(/ 1 t 0 t)": "/", "(integral t t)": "integral"}
+        for txt, named in bad.items():
+            with pytest.raises(ParseError, match=re.escape(named)):
                 sf.parse(txt)
 
     def test_unary_minus(self):

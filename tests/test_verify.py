@@ -134,7 +134,7 @@ class TestRescaledShapeRecovery:
 
     def test_scale_profile_zero_on_grid(self):
         # phi = t vanishes at the first grid time, where phi''/phi is 0/0
-        with pytest.raises(InvalidParameters, match="phi = t vanishes at t = 0"):
+        with pytest.raises(InvalidParameters, match=r"phi = t on \[0, 2\]: vanishes at t = 0"):
             vf.rescaled_shape_recovery(sf.T, sf.power(sf.T, 2), 1.0)
 
 
@@ -325,6 +325,9 @@ class TestLewisLeachReport:
         rep = vf.lewis_leach_report(bad, dyn.PolarState(0.0, 1.5, 0.2), 5.0)
         assert not rep.checks["ermakov-center"].passed
         assert not rep.passed
+        # without its profile conditions the invariant is not conserved:
+        # nothing is integrated
+        assert set(rep.checks) == {"ermakov-profile", "ermakov-center"}
 
 
 class TestVerificationReport:
