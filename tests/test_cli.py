@@ -887,14 +887,7 @@ _PLUNGE = {**_simulate({"preset": "generalized-kepler",
 
 @settings(max_examples=150, deadline=None)
 @given(_changes())
-# plan and grid objects
-@example(("plan", {}, "count", 10**12))
-@example(("plan", {}, "count", MAX_SAMPLES + 1))
-@example(("plan", {}, "seed", -1))
-@example(("plan", {}, "r_range", [0.0, 1.0]))
 @example(("plan", {"t_range": [0.0, -0.0]}, None, None))
-@example(("grid", {"r": [0.5, 1.0, 2], "theta": [0.0, 1.0, 2]}, "t", [0.0, 1.0, 10**12]))
-@example(("grid", {"r": [0.5, 1.0, 1001], "theta": [0.0, 1.0, 1000]}, "t", [0.0, 1.0, 1]))
 # values that ended in a traceback: a division by k, an infinite phase, and
 # float ** overflowing in a potential, a preset shape and the right-hand side
 @example(("orbit", None, "k", 0.0))
@@ -936,6 +929,31 @@ def test_one_changed_key_keeps_exit_contract(change):
         argv = ["verify", "--suite", _SUITE_OF.get(key, "pde")]
     assume(not _heavy(name, cfg))
     assert_exit_contract(argv, cfg, where, key)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_plans, st.sampled_from([None, "t_range", "r_range", "rdot_range", "count",
+                                "seed", "bogus"]), _value)
+@example({}, "count", 10**12)
+@example({}, "count", MAX_SAMPLES + 1)
+@example({}, "seed", -1)
+@example({}, "r_range", [0.0, 1.0])
+def test_plan_objects_keep_exit_contract(plan, key, value):
+    if key is not None:
+        plan[key] = value
+    assert_exit_contract(["verify", "--suite", "pde"], {"plan": plan},
+                         "config.plan", key)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_grids, st.sampled_from([None, "r", "theta", "t", "phi"]), _value)
+@example({"r": [0.5, 1.0, 2], "theta": [0.0, 1.0, 2]}, "t", [0.0, 1.0, 10**12])
+@example({"r": [0.5, 1.0, 1001], "theta": [0.0, 1.0, 1000]}, "t", [0.0, 1.0, 1])
+def test_grid_objects_keep_exit_contract(grid, key, value):
+    if key is not None:
+        grid[key] = value
+    assert_exit_contract(["wavefunction"], {"a": 1.0, "b": 1, "grid": grid},
+                         "config.grid", key)
 
 
 class TestUsage:
