@@ -269,11 +269,16 @@ def _default_driven_1d():
             "t_end": 5.0}
 
 
-def _sweep(cfg, seed, check):
-    """The verify sweep `check` on the configured family and plan; a shape
-    argument whose profile integral cannot be filled on t_range names it."""
+def _sweep_inputs(cfg, seed):
+    """The configured family and plan of the verify sweeps, which share them."""
     plan = _plan_from(cfg.get("plan"), seed)
     fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
+    return fam, plan
+
+
+def _sweep(check, fam, plan):
+    """The verify sweep `check` on fam and plan; a shape argument whose
+    profile integral cannot be filled on t_range names it."""
     try:
         with np.errstate(all="ignore"):  # an inf or nan residual fails its check
             return check(fam, plan)
@@ -429,9 +434,10 @@ def _suite_radial_mode(cfg, seed):
     })
 
 
+# the sweeps share one family and plan per run; each looks its check up by name when it runs
+_SWEEPS = {"pde": lambda fam, plan: vf.pde_residuals(fam, plan),
+           "noether": lambda fam, plan: vf.noether_check(fam, plan)}
 _SUITES = {
-    "pde": lambda cfg, seed: _sweep(cfg, seed, vf.pde_residuals),
-    "noether": lambda cfg, seed: _sweep(cfg, seed, vf.noether_check),
     "rescaling": _suite_rescaling,
     "closed-form": _suite_closed_form,
     "ermakov": _suite_ermakov,
@@ -484,10 +490,15 @@ def cmd_verify(args) -> int:
         raise ConfigError("--seed must be non-negative")
     cfg = _load_config(args.config) if args.config else {}
     _only(cfg, ("family", "plan", "rescaling", "orbit", "ermakov", "radial-mode"), "config")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = [*_SWEEPS, *_SUITES] if args.suite == "all" else [args.suite]
+    sweep = None  # the sweeps' family and plan: one family per run
     report = None
     for name in names:
-        part = _SUITES[name](cfg, args.seed)
+        if name in _SWEEPS:
+            sweep = sweep or _sweep_inputs(cfg, args.seed)
+            part = _sweep(_SWEEPS[name], *sweep)
+        else:
+            part = _SUITES[name](cfg, args.seed)
         report = part if report is None else report.merged(part)
     _emit(args, "report.json", report.to_json() + "\n")
     return 0 if report.passed else 1
@@ -610,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[common]).set_defaults(func=cmd_simulate)
     p_verify = sub.add_parser("verify", parents=[common])
     p_verify.add_argument("--suite", default="all",
-                          choices=[*_SUITES, "all"])
+                          choices=[*_SWEEPS, *_SUITES, "all"])
     p_verify.set_defaults(func=cmd_verify)
     sub.add_parser("wavefunction", parents=[common]) \
         .set_defaults(func=cmd_wavefunction)

@@ -10,12 +10,20 @@ terminates the trajectory with a recorded reason instead of raising.
 
 The stepper runs on Python floats and is unrolled: every stage, solution
 and error sum is one expression per component, 0 + w1 k1 + w2 k2 + ... in
-tableau order over the tableau unpacked into locals.  Dense output is a
-blocked numpy pass: accepted steps are recorded, and their samples are
-evaluated about a thousand at a time with the same sums in the same
-order, elementwise, so every sample is bit-identical to the per-sample
-summation loop it replaced.  Each run also counts its work
-(IntegratorStats, on Trajectory.stats).
+tableau order over the tableau unpacked into locals.  `integrate` runs its
+own kernel of that stepper on three float locals (r, rdot, theta): the
+right-hand side is inlined, one dU_dr call and L3 r^-2 per stage, and
+theta's stage sums are skipped, since no right-hand side reads theta.  Its
+other sums are the generic stepper's, so its samples are bit-identical to
+the generic stepper's on the same right-hand side; only the kernel ends a
+run on radius collapse.  The generic n-component stepper stays for the
+Cartesian cross-check (n = 4); the tests hold the kernel to a summation
+loop over the polar right-hand side.  Dense output is a blocked numpy
+pass: accepted steps are recorded, and their samples are evaluated about
+a thousand at a time with the same sums in the same order, elementwise,
+so every sample is bit-identical to the per-sample summation loop it
+replaced.  Each run also counts its work (IntegratorStats, on
+Trajectory.stats).
 """
 
 from __future__ import annotations
@@ -144,24 +152,19 @@ class CrosscheckResult:
     l3_drift: float
 
 
-def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
-                    r_min=0.0):
+def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
     """Adaptive DP5(4) over [t0, t_end] (either direction).
 
     The state and the stages are lists of floats and `rhs(t, y)` returns a
     list.  Emits dense samples at `sample_times` (ordered from t0 toward
-    t_end).  If r_index is given, component r_index falling below r_min
-    terminates with reason "radius_collapse", and so does a step-size floor
-    reached while it falls fast enough to reach 0 within 1000 steps.
-    Returns the sample columns [t, h_accepted, y_0, ..., y_{n-1}] as lists
-    of floats (no container per sample, so samples add no work for the
-    cyclic GC), the termination reason and IntegratorStats.
+    t_end).  Returns the sample columns [t, h_accepted, y_0, ..., y_{n-1}]
+    as lists of floats (no container per sample, so samples add no work
+    for the cyclic GC), the termination reason ("completed") and
+    IntegratorStats.
 
     An accepted step only counts the samples it covers and records itself;
     `_DenseBlock` evaluates the recorded steps' samples in blocked numpy
     passes.
-    A sample below r_min found there ends the run at its step, also when the
-    stepper went on past that step and raised.
     """
     c2, c3, c4, c5, c6 = _C[1:6]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -186,70 +189,215 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
         for col, v in zip(samples, (t0, 0.0, *y)):
             col.append(v)
         si = 1
-    dense = _DenseBlock(sample_times, si, samples, r_index, r_min)
+    dense = _DenseBlock(sample_times, si, samples, None)
+    while direction * (t_end - t) > 0.0:
+        if accepted + rejected + retries >= cfg.max_steps:
+            raise StepLimitExceeded(
+                f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
+        h = min(h, cfg.h_max, abs(t_end - t))
+        if h <= 1e-14 * max(1.0, abs(t)):
+            raise StepLimitExceeded(f"step size underflow at t={t!r}")
+        hd = direction * h
+        try:
+            evals += 1
+            k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
+            evals += 1
+            k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
+                                   for v, a, b in zip(y, k1, k2)])
+            evals += 1
+            k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            evals += 1
+            k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            evals += 1
+            k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d
+                                             + a65 * e)
+                                   for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
+                     for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
+            t_new = t + hd
+            evals += 1
+            k7 = rhs(t_new, y_new)
+        except DomainError:
+            # a stage left the admissible region; retry shorter
+            retries += 1
+            h *= 0.5
+            if h < 1e-12:
+                raise
+            continue
+        sq = 0.0
+        for v, w, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+            v, w = abs(v), abs(w)
+            q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
+                 / (cfg.atol + cfg.rtol * (v if v > w else w)))
+            sq += q * q
+        err = math.sqrt(sq / n)
+        if err > 1.0 or not math.isfinite(err):
+            if not math.isfinite(err):
+                factor = _MIN_FACTOR
+            else:
+                factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
+            rejected += 1
+            h *= factor
+            continue
+        accepted += 1
+        h_lo = h if h_lo is None else min(h_lo, h)
+        h_hi = h if h_hi is None else max(h_hi, h)
+        # accepted: the samples inside (t, t_new] are this step's
+        reach = 1e-14 * max(1.0, abs(t_new))
+        s_end = si
+        while s_end < nst and direction * (sample_times[s_end] - t_new) <= reach:
+            s_end += 1
+        if s_end > si:
+            si = s_end
+            dense.record(si, (accepted, rejected, retries, evals, h_lo, h_hi),
+                         (t, hd, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        # PI step-size update
+        err = max(err, 1e-10)  # keep the controller finite on exact hits
+        factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
+        err_prev = err
+        t, y, k1 = t_new, y_new, k7
+        h *= factor
+    dense.flush()
+    return samples, "completed", IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
-    def stats():
-        return IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
-    def collided():
-        """At a step-size floor: r falls and would reach 0 within 1000 steps of h."""
-        rate = direction * k1[r_index]
-        return rate < 0.0 and y[r_index] <= 1000.0 * h * -rate
+def _collided(r, rdot, h, direction):
+    """At a step-size floor: r falls and would reach 0 within 1000 steps of h."""
+    rate = direction * rdot
+    return rate < 0.0 and r <= 1000.0 * h * -rate
 
+
+def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
+    """`_core_integrate` of the reduced polar system on three float locals.
+
+    The right-hand side of (r, rdot, theta) is (rdot, -dU_dr(t, r), L3 r^-2),
+    with L3 = 0 giving theta' = 0.0.  It is inlined: the stage rdot is k_r
+    as it is, each stage makes one dU_dr call, and theta's stage sums are
+    left out, since no right-hand side reads theta.  Every other sum, the
+    error norm included, is `_core_integrate`'s, in tableau order from 0.0,
+    so until a radius check below ends a run, its columns and counters are
+    bit-identical to `_core_integrate`'s on that right-hand side.
+
+    With `guard` set, r is a radius: a stage with r <= 0 raises DomainError
+    (and is retried shorter), and the run ends with reason
+    "radius_collapse" when r falls below cfg.r_min, at a non-finite state,
+    or at a step-size floor reached while r falls fast enough to reach 0
+    within 1000 steps.  A sample below r_min, found when `_DenseBlock`
+    evaluates it, ends the run at its step, also when the stepper went on
+    past that step and raised.
+    """
+    c2, c3, c4, c5, c6 = _C[1:6]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    atol, rtol, h_max, max_steps, r_min = cfg.atol, cfg.rtol, cfg.h_max, cfg.max_steps, cfg.r_min
+    isfinite = math.isfinite
+    direction = 1.0 if t_end >= t0 else -1.0
+    span = abs(t_end - t0)
+    t = t0
+    r, v, th = map(float, y0)
+    h = min(cfg.h_init, h_max, span) if span > 0 else cfg.h_init
+    # stage i: (r_i, v_i) the stage state, k_i = (v_i, f_i, w_i)
+    if guard and r <= 0.0:
+        raise DomainError("r <= 0 during step")
+    f1 = -dU_dr(t, r)
+    w1 = L3 * r**-2 if L3 else 0.0
+    evals = 1
+    accepted = rejected = retries = 0
+    h_lo = h_hi = None
+    err_prev = 1.0
+    samples = [[], [], [], [], []]
+    si = 0
+    nst = len(sample_times)
+    if nst and sample_times[0] == t0:
+        for col, x in zip(samples, (t0, 0.0, r, v, th)):
+            col.append(x)
+        si = 1
+    dense = _DenseBlock(sample_times, si, samples, r_min if guard else None)
     term = "completed"
     try:
         while direction * (t_end - t) > 0.0:
-            if accepted + rejected + retries >= cfg.max_steps:
+            if accepted + rejected + retries >= max_steps:
                 raise StepLimitExceeded(
-                    f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
-            h = min(h, cfg.h_max, abs(t_end - t))
+                    f"no convergence within {max_steps} step attempts at t={t!r}")
+            h = min(h, h_max, abs(t_end - t))
             if h <= 1e-14 * max(1.0, abs(t)):
                 # non-extendable solution: a collision, or a singular profile
-                if r_index is not None and collided():
+                if guard and _collided(r, v, h, direction):
                     term = "radius_collapse"
                     break
                 raise StepLimitExceeded(f"step size underflow at t={t!r}")
             hd = direction * h
             try:
                 evals += 1
-                k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
+                r2 = r + hd * (0.0 + a21 * v)
+                v2 = v + hd * (0.0 + a21 * f1)
+                if guard and r2 <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f2 = -dU_dr(t + c2 * hd, r2)
+                w2 = L3 * r2**-2 if L3 else 0.0
                 evals += 1
-                k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
-                                       for v, a, b in zip(y, k1, k2)])
+                r3 = r + hd * (0.0 + a31 * v + a32 * v2)
+                v3 = v + hd * (0.0 + a31 * f1 + a32 * f2)
+                if guard and r3 <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f3 = -dU_dr(t + c3 * hd, r3)
+                w3 = L3 * r3**-2 if L3 else 0.0
                 evals += 1
-                k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
-                                       for v, a, b, c in zip(y, k1, k2, k3)])
+                r4 = r + hd * (0.0 + a41 * v + a42 * v2 + a43 * v3)
+                v4 = v + hd * (0.0 + a41 * f1 + a42 * f2 + a43 * f3)
+                if guard and r4 <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f4 = -dU_dr(t + c4 * hd, r4)
+                w4 = L3 * r4**-2 if L3 else 0.0
                 evals += 1
-                k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
-                                       for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                r5 = r + hd * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
+                v5 = v + hd * (0.0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
+                if guard and r5 <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f5 = -dU_dr(t + c5 * hd, r5)
+                w5 = L3 * r5**-2 if L3 else 0.0
                 evals += 1
-                k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d
-                                                 + a65 * e)
-                                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-                y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
-                         for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
+                r6 = r + hd * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+                v6 = v + hd * (0.0 + a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
+                if guard and r6 <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f6 = -dU_dr(t + c6 * hd, r6)
+                w6 = L3 * r6**-2 if L3 else 0.0
+                rn = r + hd * (0.0 + b1 * v + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
+                vn = v + hd * (0.0 + b1 * f1 + b2 * f2 + b3 * f3 + b4 * f4 + b5 * f5 + b6 * f6)
+                thn = th + hd * (0.0 + b1 * w1 + b2 * w2 + b3 * w3 + b4 * w4 + b5 * w5 + b6 * w6)
                 t_new = t + hd
                 evals += 1
-                k7 = rhs(t_new, y_new)
+                if guard and rn <= 0.0:
+                    raise DomainError("r <= 0 during step")
+                f7 = -dU_dr(t_new, rn)
+                w7 = L3 * rn**-2 if L3 else 0.0
             except DomainError:
                 # a stage left the admissible region; retry shorter
                 retries += 1
                 h *= 0.5
                 if h < 1e-12:
-                    if r_index is not None and collided():
+                    if guard and _collided(r, v, h, direction):
                         term = "radius_collapse"
                         break
                     raise
                 continue
-            sq = 0.0
-            for v, w, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
-                v, w = abs(v), abs(w)
-                q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
-                     / (cfg.atol + cfg.rtol * (v if v > w else w)))
-                sq += q * q
-            err = math.sqrt(sq / n)
-            if err > 1.0 or not math.isfinite(err):
-                if not math.isfinite(err):
+            x, z = abs(r), abs(rn)
+            q1 = (hd * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * vn)
+                  / (atol + rtol * (x if x > z else z)))
+            x, z = abs(v), abs(vn)
+            q2 = (hd * (0.0 + e1 * f1 + e2 * f2 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6 + e7 * f7)
+                  / (atol + rtol * (x if x > z else z)))
+            x, z = abs(th), abs(thn)
+            q3 = (hd * (0.0 + e1 * w1 + e2 * w2 + e3 * w3 + e4 * w4 + e5 * w5 + e6 * w6 + e7 * w7)
+                  / (atol + rtol * (x if x > z else z)))
+            err = math.sqrt((0.0 + q1 * q1 + q2 * q2 + q3 * q3) / 3)
+            if err > 1.0 or not isfinite(err):
+                if not isfinite(err):
                     factor = _MIN_FACTOR
                 else:
                     factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
@@ -267,18 +415,18 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
             if s_end > si:
                 si = s_end
                 hit = dense.record(si, (accepted, rejected, retries, evals, h_lo, h_hi),
-                                   (t, hd, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+                                   (t, hd, h, r, v, th, v, f1, w1, v2, f2, w2, v3, f3, w3,
+                                    v4, f4, w4, v5, f5, w5, v6, f6, w6, vn, f7, w7))
                 if hit is not None:
                     return samples, "radius_collapse", hit
-            if r_index is not None and (y_new[r_index] < r_min
-                                        or not all(map(math.isfinite, y_new))):
+            if guard and (rn < r_min or not (isfinite(rn) and isfinite(vn) and isfinite(thn))):
                 term = "radius_collapse"
                 break
             # PI step-size update
             err = max(err, 1e-10)  # keep the controller finite on exact hits
             factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
             err_prev = err
-            t, y, k1 = t_new, y_new, k7
+            t, r, v, th, f1, w1 = t_new, rn, vn, thn, f7, w7
             h *= factor
     except Exception:
         # whatever a later step raised, a pending sample below r_min ended
@@ -290,7 +438,7 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     hit = dense.flush()
     if hit is not None:
         return samples, "radius_collapse", hit
-    return samples, term, stats()
+    return samples, term, IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
 
 _BLOCK = 1024  # dense samples evaluated in one numpy pass
@@ -301,10 +449,11 @@ class _DenseBlock:
 
     `record` keeps a step's end sample index, its counters and its
     (t, hd, h, y, k1, ..., k7).  `flush` evaluates the pending samples in
-    numpy, appends them to the columns up to the first one below r_min and
-    returns the IntegratorStats of that sample's step, or None.  A sample
-    below r_min is found only when its block is flushed: once _BLOCK
-    samples are pending, or when the run ends or raises.
+    numpy, appends them to the columns up to the first one whose radius y_0
+    is below r_min (none is, when r_min is None) and returns the
+    IntegratorStats of that sample's step, or None.  A sample below r_min
+    is found only when its block is flushed: once _BLOCK samples are
+    pending, or when the run ends or raises.
 
     The interpolant sums run elementwise in the order of the float stepper,
     0 + p1 k1 + ... + p7 k7 and then v + hd (q0 x + q1 x^2 + q2 x^3 + q3 x^4),
@@ -313,11 +462,10 @@ class _DenseBlock:
     Python floats.
     """
 
-    def __init__(self, sample_times, start, columns, r_index, r_min):
+    def __init__(self, sample_times, start, columns, r_min):
         self.times = sample_times
         self.start = start  # pending samples: times[start:ends[-1]]
         self.columns = columns
-        self.r_index = r_index
         self.r_min = r_min
         self.ends, self.counters, self.steps = [], [], []
 
@@ -366,8 +514,8 @@ class _DenseBlock:
         x, hd = x[:, None], hd[:, None]
         ysamp = y + hd * (q0 * x + q1 * (x * x) + q2 * x3 + q3 * x4)
         m = len(ts)
-        if self.r_index is not None:
-            below = np.flatnonzero(ysamp[:, self.r_index] < self.r_min)
+        if self.r_min is not None:
+            below = np.flatnonzero(ysamp[:, 0] < self.r_min)
             if below.size:
                 m = int(below[0])
         for col, v in zip(self.columns[2:], ysamp[:m].T.tolist()):
@@ -423,19 +571,10 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
     if cfg is None:
         cfg = IntegratorConfig()
     check_horizon(s0.t, t_end, cfg.stride)
-    L3 = fam.L3
-    guard = getattr(fam, "radial", True)
-
-    def rhs(t, y):
-        r = y[0]
-        if guard and r <= 0.0:
-            raise DomainError("r <= 0 during step")
-        return [y[1], -fam.dU_dr(t, r), L3 * r**-2 if L3 else 0.0]
-
     grid = _sample_grid(s0.t, t_end, cfg.stride)
-    samples, term, stats = _core_integrate(
-        rhs, s0.t, (s0.r, s0.rdot, s0.theta), t_end, cfg, grid,
-        r_index=0 if guard else None, r_min=cfg.r_min)
+    samples, term, stats = _polar_kernel(
+        fam.dU_dr, fam.L3, getattr(fam, "radial", True), s0.t, (s0.r, s0.rdot, s0.theta),
+        t_end, cfg, grid)
     ts, hs, r, rdot, theta = _arrays(samples)
     return Trajectory(ts, r, rdot, theta, hs, termination=term,
                       label=getattr(fam, "label", ""), stats=stats)

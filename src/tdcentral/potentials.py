@@ -50,7 +50,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -147,15 +147,17 @@ class _CentralFamily:
     def _potential(self, A, B, C, F, P, Q):
         A, B, C, self.F, P, Q = map(as_fn, (A, B, C, F, P, Q))
         self._A, self._B, self._C, self._P, self._Q = A, B, C, P, Q
-        self._A_d = A.d()
-        self._B_d = B.d()
-        self._C_d = C.d()
-        self._P_d = P.d()
-        self._Q_d = Q.d()
         self.F_d = self.F.d()
-        self.F_dd = self.F_d.d()
         # a constant-zero C leaves U quadratic in r: skip the shape term
         self._shaped = not (isinstance(C, sf.Const) and C.value == 0.0)
+
+    # the trees only d2U_dr2, d2U_dtdr and dK_dt read, built on first use
+    _A_d = cached_property(lambda self: self._A.d())
+    _B_d = cached_property(lambda self: self._B.d())
+    _C_d = cached_property(lambda self: self._C.d())
+    _P_d = cached_property(lambda self: self._P.d())
+    _Q_d = cached_property(lambda self: self._Q.d())
+    F_dd = cached_property(lambda self: self.F_d.d())
 
     def _guard(self, r):
         if self.radial:
@@ -174,6 +176,10 @@ class _CentralFamily:
     _dU_dr_scalar = _dU_dr_array = None
 
     def dU_dr(self, t, r):
+        if type(t) is float and type(r) is float:  # the integrator's call: the lean path
+            if r <= 0.0 and self.radial:
+                raise DomainError("radius must be positive")
+            return (self._dU_dr_scalar or self._compile_dU_dr(False))(t, r)
         self._guard(r)
         if _is_number(t) and _is_number(r):
             return (self._dU_dr_scalar or self._compile_dU_dr(False))(float(t), float(r))

@@ -14,8 +14,9 @@ its derivative as another tree (``.d()``), so n-th derivatives are exact
 up to rounding in evaluation.  One evaluator serves both: on its first call
 with a number, and again with an array, a node compiles its tree into
 straight-line Python code (``_Compiler``) and keeps it, as ``.d()`` keeps
-its tree.  The two versions differ only in ``exp`` and in reducing each
-domain test over the array.  Trees are immutable; building functions goes
+its tree; a constant keeps a function returning its value instead.  The
+two versions differ only in ``exp`` and in reducing each domain test over
+the array.  Trees are immutable; building functions goes
 through the folding constructors (``add``, ``mul``, ``div``, ...) which
 collapse constants and keep a canonical shape, so structural equality is
 usable in tests.
@@ -169,6 +170,13 @@ class Const(ScalarFn):
 
     def _signature(self):
         return (self.value,)
+
+    def _compile(self, slot: str, array: bool):
+        # no compiler: its code would return the value itself, at a number or an array
+        value = self.value
+        fn = lambda t: value
+        object.__setattr__(self, slot, fn)
+        return fn
 
 
 @dataclass(frozen=True, eq=False)

@@ -249,7 +249,7 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
             "turning point of phi/r falls on a sample; perturb the stride")
     amp = (L3 / k) * np.sqrt(np.maximum(2.0 * (I0 + k * pv / traj.r), 0.0))
     sgn = np.sign(B)
-    worst = 0.0
+    worst = [0.0]  # the better sigma's deviation per branch; numpy keeps a nan
     start = 0
     while start < len(B):
         stop = start + 1
@@ -258,13 +258,10 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
         th = traj.theta[start:stop]
         a = amp[start:stop]
         if len(th) > 1:
-            devs = []
-            for sigma in (1.0, -1.0):
-                theta0 = th[0] - sigma * a[0]
-                devs.append(float(np.max(np.abs(sigma * a + theta0 - th))))
-            worst = max(worst, min(devs))
+            worst.append(np.min([np.max(np.abs(sigma * a + (th[0] - sigma * a[0]) - th))
+                                 for sigma in (1.0, -1.0)]))
         start = stop
-    return float(worst)
+    return float(np.max(worst))
 
 
 def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState,

@@ -637,6 +637,22 @@ class TestVerify:
         assert main(["verify", "--suite", "nonsense"]) == 2
         assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [{}, {"family": {"preset": "oscillator",
+                                                     "params": {"g1": "(poly 1 0 1)"}}}],
+                             ids=["default", "configured"])
+    def test_sweeps_share_one_family(self, tmp_path, capsys, monkeypatch, cfg):
+        # pde and noether read one family: one panel fill, one set of
+        # compiled evaluators per run; each check is looked up on the verify
+        # module when it runs, so a wrapper put there sees the call
+        swept = []
+        for name in ("pde_residuals", "noether_check"):
+            def spy(fam, plan, check=getattr(cli.vf, name)):
+                swept.append((fam, plan))
+                return check(fam, plan)
+            monkeypatch.setattr(cli.vf, name, spy)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(swept) == 2 and swept[0][0] is swept[1][0] and swept[0][1] == swept[1][1]
+
 
 class TestOrbit:
     def test_default_cases(self, capsys):
@@ -645,6 +661,17 @@ class TestOrbit:
         assert set(payload) == {"orbit-static-scale", "orbit-growing-scale"}
         for entry in payload.values():
             assert entry["max_residual"] <= 1e-7
+
+    def test_nan_deviation_fails(self, tmp_path, capsys):
+        # rdot = 1e200 overflows the invariant, so every branch deviation is
+        # nan; a reduction that drops nan would report 0.0 and pass
+        path = write_config(tmp_path, {"orbit": {"cases": [self.case(
+            name="s", initial={"t": 0.0, "r": 1.2, "rdot": 1e200})]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["verify", "--suite", "orbit", "--config", path]) == 1
+        entry = json.loads(capsys.readouterr().out)["orbit-s"]
+        assert math.isnan(entry["max_residual"]) and entry["pass"] is False
 
     def test_subcommand_removed(self, capsys):
         # `verify --suite orbit` is the one way to run the orbit cases

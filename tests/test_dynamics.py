@@ -13,6 +13,7 @@ from tdcentral import dynamics as dyn
 from tdcentral import integrals as fi
 from tdcentral import potentials as pot
 from tdcentral import scalarfn as sf
+from tdcentral.cli import _default_driven_1d, _family_from
 from tdcentral.dynamics import IntegratorConfig, PolarState
 from tdcentral.errors import DomainError, StepLimitExceeded
 from tdcentral.potentials import FamilyA, FamilyB
@@ -647,39 +648,88 @@ def _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
     return samples, "completed", stats()
 
 
-def _recorded_runs(monkeypatch, core, run):
+def _reference_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
+    """`_polar_kernel` as the `_dot` loop over the polar right-hand side
+    that `integrate` used to hand the generic stepper."""
+    def rhs(t, y):
+        r = y[0]
+        if guard and r <= 0.0:
+            raise DomainError("r <= 0 during step")
+        return [y[1], -dU_dr(t, r), L3 * r**-2 if L3 else 0.0]
+    return _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times,
+                               r_index=0 if guard else None, r_min=cfg.r_min)
+
+
+def _recorded_runs(monkeypatch, name, core, run):
     """repr of every (columns, termination, stats) that `core` returns while
-    `run()` executes with it as the stepper."""
+    `run()` executes with it in place of `dyn.<name>`."""
     runs = []
 
     def recording(*args, **kwargs):
         out = core(*args, **kwargs)
         runs.append(tuple(map(repr, out)))
         return out
-    monkeypatch.setattr(dyn, "_core_integrate", recording)
+    monkeypatch.setattr(dyn, name, recording)
     run()
     monkeypatch.undo()
     return runs
 
 
+def kernel_cases():
+    """stepper_cases() and the paths only the polar kernel has."""
+    ermakov = _default_driven_1d()
+    return stepper_cases() + [
+        # non-radial: no r <= 0 guard and no radius checks
+        pytest.param(_family_from(ermakov["system"], (0.0, 5.0)),
+                     PolarState(0.0, 1.5, 0.2), 5.0, IntegratorConfig(), id="ermakov"),
+        # L3 = 0: theta' is 0.0 at every stage, never L3 r^-2
+        pytest.param(pot.preset("oscillator", g1="(poly 1 0 1)", c0=0.5).family,
+                     PolarState(0.0, 1.0, 0.3, 0.25), 6.0, IntegratorConfig(), id="L3-zero"),
+        # a stage with q < 0 makes G's argument leave (0, inf): the
+        # DomainError comes from inside dU_dr, and the step is retried
+        pytest.param(pot.preset("lewis-leach").family, PolarState(0.0, 0.3, -5.0), 2.0,
+                     IntegratorConfig(rtol=1e-3, atol=1e-3, h_init=0.5),
+                     id="domain-error-in-dU_dr"),
+    ]
+
+
 class TestUnrolledStepper:
     """Same sums in the same order as the _dot loop, zero weights kept: the
     sample columns (signed zeros included), the termination and the
-    counters are bit-identical, on the polar and the Cartesian system."""
+    counters are bit-identical, for the polar kernel and for the generic
+    stepper on the Cartesian system."""
 
-    def assert_same_runs(self, monkeypatch, run):
-        got = _recorded_runs(monkeypatch, dyn._core_integrate, run)
-        want = _recorded_runs(monkeypatch, _dot_reference_core, run)
-        assert got and got == want
+    def assert_same_run(self, monkeypatch, name, reference, run):
+        got = _recorded_runs(monkeypatch, name, getattr(dyn, name), run)
+        want = _recorded_runs(monkeypatch, name, reference, run)
+        assert len(got) == 1 and got == want
 
-    @pytest.mark.parametrize("fam,s0,t_end,cfg", stepper_cases())
+    @pytest.mark.parametrize("fam,s0,t_end,cfg", kernel_cases())
     def test_integrate_bit_identical(self, monkeypatch, fam, s0, t_end, cfg):
-        self.assert_same_runs(monkeypatch, lambda: dyn.integrate(fam, s0, t_end, cfg))
+        self.assert_same_run(monkeypatch, "_polar_kernel", _reference_kernel,
+                             lambda: dyn.integrate(fam, s0, t_end, cfg))
+
+    def test_kernel_cases_reach_their_paths(self):
+        params = {p.id: p.values for p in kernel_cases()}
+        fam, s0, t_end, cfg = params["ermakov"]
+        assert fam.radial is False and fam.L3 == 0.0
+        traj = dyn.integrate(*params["L3-zero"])
+        assert traj.termination == "completed" and np.all(traj.theta == 0.25)
+        fam, s0, t_end, cfg = params["domain-error-in-dU_dr"]
+        assert fam.radial is False
+        with pytest.raises(DomainError):  # q < 0 is outside G's domain
+            fam.dU_dr(0.0, -0.1)
+        stats = dyn.integrate(fam, s0, t_end, cfg).stats
+        assert stats.domain_retries > 0
 
     def test_crosscheck_bit_identical(self, monkeypatch):
-        # two runs: the polar reference and the n = 4 Cartesian system
-        self.assert_same_runs(monkeypatch, lambda: dyn.cartesian_crosscheck(
-            eccentric_kepler(), PolarState(0.0, 1.4, 0.0, 0.2), 4.0))
+        # the polar reference on the kernel, the n = 4 Cartesian system on
+        # the generic stepper
+        def run():
+            return dyn.cartesian_crosscheck(eccentric_kepler(),
+                                            PolarState(0.0, 1.4, 0.0, 0.2), 4.0)
+        self.assert_same_run(monkeypatch, "_polar_kernel", _reference_kernel, run)
+        self.assert_same_run(monkeypatch, "_core_integrate", _dot_reference_core, run)
 
     def test_signed_zero_components_kept(self):
         # a component that stays a signed zero and steers another: each sum
@@ -720,7 +770,7 @@ class TestUnrolledStepper:
             warnings.simplefilter("error")
             for core in (dyn._core_integrate, _dot_reference_core):
                 cols, term, stats = core(rhs, 0.0, (1e308, math.inf), 2.0, IntegratorConfig(),
-                                         dyn._sample_grid(0.0, 2.0, 0.01), r_index=None)
+                                         dyn._sample_grid(0.0, 2.0, 0.01))
                 runs.append((repr(cols), term, repr(stats)))
         assert runs[0] == runs[1]
         y0, y1 = np.array(cols[2]), np.array(cols[3])

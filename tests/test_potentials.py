@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tdcentral import potentials as pot
 from tdcentral import scalarfn as sf
 from tdcentral.errors import DomainError, InvalidParameters, ToleranceNotMet, UnknownPreset
 from tdcentral.potentials import FamilyA, FamilyB, LewisLeach1d
+from test_scalarfn import _trees
 
 U = sf.T  # shape-argument variable
 
@@ -244,6 +247,36 @@ class TestCompiledDUdr:
         fn = fam._dU_dr_scalar
         fam.dU_dr(1.5, 0.7)
         assert fam._dU_dr_scalar is fn and fam._dU_dr_array is None
+
+
+_LAZY = ("_A_d", "_B_d", "_C_d", "_P_d", "_Q_d", "F_dd")
+
+
+class TestLazyDerivativeTrees:
+    """The derivative trees that only d2U_dr2, d2U_dtdr and dK_dt read are
+    built on first use, and building them cannot raise where building the
+    family did not."""
+
+    @pytest.mark.parametrize("fam", central_families())
+    def test_built_on_first_use(self, fam):
+        fam.U(0.5, 1.2)
+        fam.dU_dr(0.5, 1.2)
+        assert not set(_LAZY) & set(vars(fam))
+        fam.d2U_dtdr(0.5, 1.2)
+        assert {"_A_d", "_B_d"} <= set(vars(fam))
+        for name, base in zip(_LAZY, ("_A", "_B", "_C", "_P", "_Q", "F_d")):
+            assert getattr(fam, name) is getattr(fam, base).d()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([FamilyA, FamilyB, LewisLeach1d]), st.lists(_trees, min_size=5,
+                                                                       max_size=5))
+    def test_never_raise_once_the_family_builds(self, cls, trees):
+        try:
+            fam = cls(*trees[:{FamilyA: 2, FamilyB: 3, LewisLeach1d: 5}[cls]])
+        except (DomainError, ArithmeticError):
+            assume(False)
+        for name in _LAZY:
+            assert isinstance(getattr(fam, name), sf.ScalarFn)
 
 
 class TestPartials:

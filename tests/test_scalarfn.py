@@ -650,6 +650,25 @@ class TestCompiledScalar:
             f(np.array([0.5, 0.0]))
         assert g(np.array([0.0])).tolist() == [math.sqrt(3.0)]
 
+    def test_constant_needs_no_compiler(self, monkeypatch):
+        # a constant returns what its compiled code returned, the value
+        # itself at a number or an array, through ScalarFn.__call__
+        assert "__call__" not in vars(sf.Const)
+        for value in (0.5, -0.0, 3):
+            ts = (1.0, np.array([0.5, 1.5]), np.float64(2.0), 4)
+            want = [sf._Compiler(not sf._is_number(t)).function(sf.Const(value))(t)
+                    for t in ts]
+            monkeypatch.setattr(sf, "_Compiler", None)
+            c = sf.Const(value)
+            got = [c(t) for t in ts]
+            monkeypatch.undo()
+            assert all(g is value and w is value for g, w in zip(got, want))
+        c = sf.Const(1.0)
+        c(0.0)
+        fn = c._scalar
+        c(1.0)
+        assert c._scalar is fn and c._array is None
+
     def test_compiled_once_per_node(self):
         f = sf.sqrt(sf.poly(1, 0, 1))
         f(1.0)
