@@ -80,8 +80,8 @@ def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
     try:
         if isinstance(value, str):
             return sf.parse(value)
-    except ParseError as e:
-        raise ConfigError(f"{where}: key {key!r}: {e}") from e
+    except (ParseError, RecursionError) as e:
+        raise ConfigError(f"{where}: key {key!r}: {_fault_text(e)}") from e
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return sf.as_fn(_get(node, key, float, value, where))
     raise ConfigError(f"{where}: key {key!r} must be a number or expression text")
@@ -129,7 +129,8 @@ def _family_from(node, span, where: str = "config.family"):
         fam.check_span(*span)
     except _FAULTS as e:  # name the key at fault unless the message does
         named = any(repr(key) in str(e) for key in given)
-        raise ConfigError(f"{where}: {'' if named else _culprit(build, given, span)}{e}") from e
+        raise ConfigError(f"{where}: {'' if named else _culprit(build, given, span)}"
+                          f"{_fault_text(e)}") from e
     # deliberate cubic defect for negative-control runs
     if "perturb" in node:
         fam = vf.PerturbedPotential(fam, _get(node, "perturb", float,
@@ -137,7 +138,12 @@ def _family_from(node, span, where: str = "config.family"):
     return fam
 
 
-_FAULTS = (InvalidParameters, DomainError, ParseError, TypeError)  # a family's bad values
+# a family's bad values; RecursionError: an expression nested too deeply to parse or build
+_FAULTS = (InvalidParameters, DomainError, ParseError, TypeError, RecursionError)
+
+
+def _fault_text(e: Exception) -> str:
+    return "expression nested too deeply" if isinstance(e, RecursionError) else str(e)
 
 
 def _culprit(build, given: dict, span) -> str:

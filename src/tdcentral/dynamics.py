@@ -22,15 +22,18 @@ loop over the polar right-hand side.  Dense output is a blocked numpy
 pass: accepted steps are recorded, and their samples are evaluated about
 a thousand at a time with the same sums in the same order, elementwise,
 so every sample is bit-identical to the per-sample summation loop it
-replaced.  Each run also counts its work (IntegratorStats, on
-Trajectory.stats).
+replaced.  The samples stay float64 arrays from end to end: the sample
+grid is one array, each run writes its samples into one preallocated
+array whose rows become the Trajectory's fields, and the CSV writer
+formats them a block of rows at a time.  Each run also counts its work
+(IntegratorStats, on Trajectory.stats).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -156,11 +159,10 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
     """Adaptive DP5(4) over [t0, t_end] (either direction).
 
     The state and the stages are lists of floats and `rhs(t, y)` returns a
-    list.  Emits dense samples at `sample_times` (ordered from t0 toward
-    t_end).  Returns the sample columns [t, h_accepted, y_0, ..., y_{n-1}]
-    as lists of floats (no container per sample, so samples add no work
-    for the cyclic GC), the termination reason ("completed") and
-    IntegratorStats.
+    list.  Emits dense samples at `sample_times`, a float64 array ordered
+    from t0 toward t_end.  Returns the samples as one float64 array with
+    rows t, h_accepted, y_0, ..., y_{n-1} and a column per sample, the
+    termination reason ("completed") and IntegratorStats.
 
     An accepted step only counts the samples it covers and records itself;
     `_DenseBlock` evaluates the recorded steps' samples in blocked numpy
@@ -182,14 +184,10 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
     accepted = rejected = retries = 0
     h_lo = h_hi = None
     err_prev = 1.0
-    samples = [[] for _ in range(n + 2)]
-    si = 0
+    dense = _DenseBlock(sample_times, (t0, 0.0, *y), None)
+    si = dense.start
     nst = len(sample_times)
-    if nst and sample_times[0] == t0:
-        for col, v in zip(samples, (t0, 0.0, *y)):
-            col.append(v)
-        si = 1
-    dense = _DenseBlock(sample_times, si, samples, None)
+    grid_at = sample_times.item
     while direction * (t_end - t) > 0.0:
         if accepted + rejected + retries >= cfg.max_steps:
             raise StepLimitExceeded(
@@ -247,7 +245,7 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
         # accepted: the samples inside (t, t_new] are this step's
         reach = 1e-14 * max(1.0, abs(t_new))
         s_end = si
-        while s_end < nst and direction * (sample_times[s_end] - t_new) <= reach:
+        while s_end < nst and direction * (grid_at(s_end) - t_new) <= reach:
             s_end += 1
         if s_end > si:
             si = s_end
@@ -260,7 +258,7 @@ def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
         t, y, k1 = t_new, y_new, k7
         h *= factor
     dense.flush()
-    return samples, "completed", IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
+    return dense.filled(), "completed", IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
 
 def _collided(r, rdot, h, direction):
@@ -277,7 +275,7 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     as it is, each stage makes one dU_dr call, and theta's stage sums are
     left out, since no right-hand side reads theta.  Every other sum, the
     error norm included, is `_core_integrate`'s, in tableau order from 0.0,
-    so until a radius check below ends a run, its columns and counters are
+    so until a radius check below ends a run, its samples and counters are
     bit-identical to `_core_integrate`'s on that right-hand side.
 
     With `guard` set, r is a radius: a stage with r <= 0 raises DomainError
@@ -309,14 +307,10 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     accepted = rejected = retries = 0
     h_lo = h_hi = None
     err_prev = 1.0
-    samples = [[], [], [], [], []]
-    si = 0
+    dense = _DenseBlock(sample_times, (t0, 0.0, r, v, th), r_min if guard else None)
+    si = dense.start
     nst = len(sample_times)
-    if nst and sample_times[0] == t0:
-        for col, x in zip(samples, (t0, 0.0, r, v, th)):
-            col.append(x)
-        si = 1
-    dense = _DenseBlock(sample_times, si, samples, r_min if guard else None)
+    grid_at = sample_times.item
     term = "completed"
     try:
         while direction * (t_end - t) > 0.0:
@@ -410,7 +404,7 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
             # accepted: the samples inside (t, t_new] are this step's
             reach = 1e-14 * max(1.0, abs(t_new))
             s_end = si
-            while s_end < nst and direction * (sample_times[s_end] - t_new) <= reach:
+            while s_end < nst and direction * (grid_at(s_end) - t_new) <= reach:
                 s_end += 1
             if s_end > si:
                 si = s_end
@@ -418,7 +412,7 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
                                    (t, hd, h, r, v, th, v, f1, w1, v2, f2, w2, v3, f3, w3,
                                     v4, f4, w4, v5, f5, w5, v6, f6, w6, vn, f7, w7))
                 if hit is not None:
-                    return samples, "radius_collapse", hit
+                    return dense.filled(), "radius_collapse", hit
             if guard and (rn < r_min or not (isfinite(rn) and isfinite(vn) and isfinite(thn))):
                 term = "radius_collapse"
                 break
@@ -434,26 +428,32 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
         hit = dense.flush()
         if hit is None:
             raise
-        return samples, "radius_collapse", hit
+        return dense.filled(), "radius_collapse", hit
     hit = dense.flush()
     if hit is not None:
-        return samples, "radius_collapse", hit
-    return samples, term, IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
+        return dense.filled(), "radius_collapse", hit
+    return dense.filled(), term, IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
 
-_BLOCK = 1024  # dense samples evaluated in one numpy pass
+_BLOCK = 1024  # dense samples evaluated in one numpy pass, CSV rows formatted in one pass
 
 
 class _DenseBlock:
-    """The accepted steps whose dense samples are not yet evaluated.
+    """The samples of a run, and the accepted steps whose samples are not
+    yet evaluated.
 
-    `record` keeps a step's end sample index, its counters and its
+    The samples are one float64 array of rows t, h_accepted, y_0, ...,
+    y_{n-1} and one column per time of `times`.  It is built with the
+    run's first row (t0, 0.0, y(t0)), written as sample 0 when times[0] is
+    t0.  `record` keeps a step's end sample index, its counters and its
     (t, hd, h, y, k1, ..., k7).  `flush` evaluates the pending samples in
-    numpy, appends them to the columns up to the first one whose radius y_0
-    is below r_min (none is, when r_min is None) and returns the
+    numpy, writes them by slices up to the first one whose radius y_0 is
+    below r_min (none is, when r_min is None) and returns the
     IntegratorStats of that sample's step, or None.  A sample below r_min
     is found only when its block is flushed: once _BLOCK samples are
-    pending, or when the run ends or raises.
+    pending, or when the run ends or raises.  `filled` is the written
+    prefix; the array is left uninitialised, so the unwritten tail of a run
+    that ends early is never touched.
 
     The interpolant sums run elementwise in the order of the float stepper,
     0 + p1 k1 + ... + p7 k7 and then v + hd (q0 x + q1 x^2 + q2 x^3 + q3 x^4),
@@ -462,12 +462,18 @@ class _DenseBlock:
     Python floats.
     """
 
-    def __init__(self, sample_times, start, columns, r_min):
-        self.times = sample_times
-        self.start = start  # pending samples: times[start:ends[-1]]
-        self.columns = columns
+    def __init__(self, times, first, r_min):
+        self.times = times
+        self.out = np.empty((len(first), len(times)))
+        self.start = 0  # samples written: out[:, :start]; pending: up to ends[-1]
+        if len(times) and times.item(0) == first[0]:
+            self.out[:, 0] = first
+            self.start = 1
         self.r_min = r_min
         self.ends, self.counters, self.steps = [], [], []
+
+    def filled(self):
+        return self.out[:, :self.start]
 
     def record(self, end, counters, step):
         """Add a step (counters: the IntegratorStats fields); once _BLOCK
@@ -482,78 +488,48 @@ class _DenseBlock:
             return None
         ends, counters, A = self.ends, self.counters, np.array(self.steps)
         self.ends, self.counters, self.steps = [], [], []
-        lo, hi = self.start, ends[-1]
-        self.start = hi
-        n = len(self.columns) - 2
+        out, n = self.out, len(self.out) - 2
         k1, k2, k3, k4, k5, k6, k7 = (A[:, n * j + 3:n * j + n + 3] for j in range(1, 8))
-        hs = A[:, 2].tolist()  # one float per step, shared by its samples
         with np.errstate(all="ignore"):  # inf and nan pass silently, as in floats
             Q = [0.0 + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6 + p7 * k7
                  for p1, p2, p3, p4, p5, p6, p7 in _P_COLS]
             # at most _BLOCK samples at a time, however many one step holds
-            for c0 in range(lo, hi, _BLOCK):
-                c1 = min(c0 + _BLOCK, hi)
+            for c0 in range(self.start, ends[-1], _BLOCK):
+                c1 = min(c0 + _BLOCK, ends[-1])
                 at = np.searchsorted(ends, np.arange(c0, c1), side="right")  # their steps
-                m = self._emit(self.times[c0:c1], A[at, 0], A[at, 1], A[at, 3:3 + n],
-                               [q[at] for q in Q])
-                self.columns[0].extend(self.times[c0:c0 + m])
-                self.columns[1].extend(map(hs.__getitem__, at[:m].tolist()))
+                ts = self.times[c0:c1]
+                x = (ts - A[at, 0]) / A[at, 1]
+                xs = x.tolist()
+                x3 = np.array(list(map(pow, xs, repeat(3))))[:, None]
+                x4 = np.array(list(map(pow, xs, repeat(4))))[:, None]
+                x, hd = x[:, None], A[at, 1:2]
+                q0, q1, q2, q3 = (q[at] for q in Q)
+                ysamp = A[at, 3:3 + n] + hd * (q0 * x + q1 * (x * x) + q2 * x3 + q3 * x4)
+                m = c1 - c0
+                if self.r_min is not None:
+                    below = np.flatnonzero(ysamp[:, 0] < self.r_min)
+                    if below.size:
+                        m = int(below[0])
+                out[0, c0:c0 + m] = ts[:m]
+                out[1, c0:c0 + m] = A[at[:m], 2]
+                out[2:, c0:c0 + m] = ysamp[:m].T
+                self.start = c0 + m
                 if m < c1 - c0:
                     return IntegratorStats(*counters[at[m]])
         return None
 
-    def _emit(self, ts, t, hd, y, Q):
-        """Append the y columns of samples ts, given their steps' t, hd, y
-        and interpolant weights, up to the first below r_min; return how
-        many."""
-        q0, q1, q2, q3 = Q
-        x = (np.array(ts) - t) / hd
-        xs = x.tolist()
-        x3 = np.array(list(map(pow, xs, repeat(3))))[:, None]
-        x4 = np.array(list(map(pow, xs, repeat(4))))[:, None]
-        x, hd = x[:, None], hd[:, None]
-        ysamp = y + hd * (q0 * x + q1 * (x * x) + q2 * x3 + q3 * x4)
-        m = len(ts)
-        if self.r_min is not None:
-            below = np.flatnonzero(ysamp[:, 0] < self.r_min)
-            if below.size:
-                m = int(below[0])
-        for col, v in zip(self.columns[2:], ysamp[:m].T.tolist()):
-            col.extend(v)
-        return m
 
-
-_GRID_CHUNK = 8192  # grid times built per numpy pass (64 KiB arrays)
-
-
-def _sample_grid(t0: float, t_end: float, stride: float) -> list[float]:
+def _sample_grid(t0: float, t_end: float, stride: float) -> np.ndarray:
     """[t0, t0 + stride, ..., t_end]: the inner times t0 + (±k) stride, k =
-    1, 2, ..., that fall short of t_end.  Built in chunks, so no array
-    outlives a chunk (a freed large array would raise malloc's mmap
-    threshold and fragment the heap the sample columns grow in)."""
+    1, 2, ..., that fall short of t_end, from one numpy pass."""
     direction = 1.0 if t_end >= t0 else -1.0
-    chunk = min(_GRID_CHUNK, abs(t_end - t0) // stride + 2.0)  # k runs past t_end
-    out = [t0]
-    k = 1.0
-    while True:
-        ts = t0 + (direction * np.arange(k, k + chunk)) * stride
-        inner = ts[direction * (ts - t_end) < 0.0]
-        out.extend(inner.tolist())
-        if len(inner) < len(ts):
-            break
-        k += chunk
-    out.append(t_end)
-    return out
-
-
-def _arrays(columns: list) -> list:
-    """The columns as arrays; each list is emptied once copied, so a long
-    run never holds all its samples both as floats and as arrays."""
-    out = []
-    for col in columns:
-        out.append(np.array(col))
-        col.clear()
-    return out
+    # k runs two strides past t_end; the times are monotone, so the ones
+    # short of t_end (t0 among them) are a prefix
+    ts = t0 + (direction * np.arange(abs(t_end - t0) // stride + 3.0)) * stride
+    m = int(np.count_nonzero(direction * (ts - t_end) < 0.0))
+    ts[0] = t0  # t0 + 0.0 would turn t0 = -0.0 into 0.0
+    ts[m] = t_end
+    return ts[:m + 1]
 
 
 def check_horizon(t0: float, t_end: float, stride: float) -> None:
@@ -572,10 +548,9 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
         cfg = IntegratorConfig()
     check_horizon(s0.t, t_end, cfg.stride)
     grid = _sample_grid(s0.t, t_end, cfg.stride)
-    samples, term, stats = _polar_kernel(
+    (ts, hs, r, rdot, theta), term, stats = _polar_kernel(
         fam.dU_dr, fam.L3, getattr(fam, "radial", True), s0.t, (s0.r, s0.rdot, s0.theta),
         t_end, cfg, grid)
-    ts, hs, r, rdot, theta = _arrays(samples)
     return Trajectory(ts, r, rdot, theta, hs, termination=term,
                       label=getattr(fam, "label", ""), stats=stats)
 
@@ -608,8 +583,7 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
         s0.rdot * s + s0.r * thdot0 * c,
     )
     grid = _sample_grid(s0.t, t_end, cfg.stride)
-    samples, term, stats = _core_integrate(rhs, s0.t, y0, t_end, cfg, grid)
-    ts, hs, x, yy, vx, vy = _arrays(samples)
+    (ts, hs, x, yy, vx, vy), term, stats = _core_integrate(rhs, s0.t, y0, t_end, cfg, grid)
     r = np.hypot(x, yy)
     rdot = (x * vx + yy * vy) / r
     theta = np.unwrap(np.arctan2(yy, x))
@@ -628,33 +602,36 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
 
 def drift_series(traj: Trajectory, fi) -> np.ndarray:
     """I(t_i) along the trajectory for a (t, r, rdot) first integral,
-    evaluated once on the sample arrays."""
-    vals = np.asarray(fi(traj.t, traj.r, traj.rdot), dtype=float)
+    evaluated once on the sample arrays; inf or nan where a state leaves
+    the double range."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fi(traj.t, traj.r, traj.rdot), dtype=float)
     return np.broadcast_to(vals, traj.t.shape).copy()
 
 
 def drift_report(traj: Trajectory, fi) -> float:
-    """max_t |I(t) - I(0)| / max(1, |I(0)|)."""
+    """max_t |I(t) - I(0)| / max(1, |I(0)|); inf or nan (which fail any
+    tolerance) where the series leaves the double range."""
     vals = drift_series(traj, fi)
-    return float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
 
 
 def write_csv(traj: Trajectory, path):
-    """Full-precision CSV: t,r,rdot,theta,h_accepted."""
-    cols = [map(repr, np.asarray(col, dtype=float).tolist())
-            for col in (traj.t, traj.r, traj.rdot, traj.theta)]
-    h = np.asarray(traj.h_accepted, dtype=float)
-    # h changes once per step: one repr per run of bit-equal values (the
-    # int64 view keeps 0.0 and -0.0 apart)
-    bits = h.view(np.int64)
-    first = np.ones(len(h), dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    starts = np.flatnonzero(first)
-    hs = chain.from_iterable(map(repeat, map(repr, h[starts].tolist()),
-                                 np.diff(starts, append=len(h)).tolist()))
-    rows = map(",".join, zip(*cols, hs))
+    """Full-precision CSV: t,r,rdot,theta,h_accepted, formatted _BLOCK rows
+    at a time."""
+    cols = [np.asarray(col, dtype=float)
+            for col in (traj.t, traj.r, traj.rdot, traj.theta, traj.h_accepted)]
     with open(path, "w", newline="") as fh:
         fh.write("t,r,rdot,theta,h_accepted\n")
-        while lines := list(islice(rows, _BLOCK)):
+        for i in range(0, len(cols[0]), _BLOCK):
+            *block, h = (col[i:i + _BLOCK] for col in cols)
+            # h changes once per step: one repr per run of bit-equal values
+            # (the int64 view keeps 0.0 and -0.0 apart)
+            bits = h.view(np.int64)
+            starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+            hs = chain.from_iterable(map(repeat, map(repr, h[starts].tolist()),
+                                         np.diff(starts, append=len(h)).tolist()))
+            lines = list(map(",".join, zip(*(map(repr, col.tolist()) for col in block), hs)))
             lines.append("")
             fh.write("\n".join(lines))

@@ -514,6 +514,40 @@ class TestRunFailures:
         assert runs[0] == runs[1]
         assert json.loads(runs[1][0])["termination"] == "radius_collapse"
 
+    @pytest.mark.parametrize("depth", [165, 600])
+    @pytest.mark.parametrize("family", ["preset", "kind"])
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify", "--suite", "pde"]])
+    def test_deeply_nested_profile_names_its_key(self, tmp_path, capsys, argv, family, depth):
+        # 165 deep, building the family exceeds the recursion limit; 600
+        # deep, parsing the text does
+        g1 = "(poly 2 0 1)"
+        for _ in range(depth):
+            g1 = f"(+ 1 (* 0.5 {g1}))"
+        fam = ({"preset": "oscillator", "params": {"g1": g1, "L3": 1.0}} if family == "preset"
+               else {"kind": "quadratic", "g1": g1})
+        cfg = oscillator_config(t_end=1.0, family=fam) if argv == ["simulate"] else {"family": fam}
+        assert main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config.family: key 'g1': expression nested too deeply\n"
+
+    @pytest.mark.parametrize("argv,cfg", [
+        # I overflows in FamilyB.fi, reached through drift_series
+        (["simulate"], oscillator_config(t_end=1.0, initial={"t": 0.0, "r": 1e200, "rdot": 0.0})),
+        # the same overflow, then inf - inf in drift_report
+        (["simulate"], oscillator_config(t_end=1.0, initial={"t": 0.0, "r": 1.0, "rdot": 1e200})),
+        # Omega^2 overflows in the profile residuals of lewis_leach_report
+        (["verify", "--suite", "ermakov"],
+         {"ermakov": {"system": {**cli._default_driven_1d()["system"],
+                                 "Omega": "(exp (poly 0 800))"}}}),
+    ], ids=["r-1e200", "rdot-1e200", "ermakov-omega-overflow"])
+    def test_state_beyond_double_range_fails_silently(self, tmp_path, capsys, argv, cfg):
+        # a non-finite drift or residual fails its check: exit 1, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([*argv, "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1 and capsys.readouterr().err == ""
+
 
 class TestListPresets:
     def test_text_catalog(self, capsys):

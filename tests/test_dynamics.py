@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -368,7 +370,7 @@ def _reference_integrate(fam, s0, t_end, cfg):
         return np.array([y[1], -fam.dU_dr(t, r),
                          fam.L3 * r**-2 if fam.L3 else 0.0])
 
-    grid = dyn._sample_grid(s0.t, t_end, cfg.stride)
+    grid = dyn._sample_grid(s0.t, t_end, cfg.stride).tolist()
     samples, hs, term = _reference_core(
         rhs, s0.t, np.array([s0.r, s0.rdot, s0.theta]), t_end, cfg, grid,
         r_index=0, r_min=cfg.r_min)
@@ -485,8 +487,8 @@ class TestFloatStepper:
         traj = dyn.integrate(fam, s0, t_end, cfg)
         ts, ys, hs, term = _reference_integrate(fam, s0, t_end, cfg)
         # the step sequence is bit-identical ...
-        assert traj.t.tolist() == ts.tolist()
-        assert traj.h_accepted.tolist() == hs.tolist()
+        assert traj.t.tobytes() == ts.tobytes()
+        assert traj.h_accepted.tobytes() == hs.tobytes()
         assert traj.termination == term
         # ... and only the dense output's sums are reassociated
         for got, want in ((traj.r, ys[:, 0]), (traj.rdot, ys[:, 1]),
@@ -550,7 +552,9 @@ def _dot(weights, ks, c):
 def _dot_reference_core(rhs, t0, y0, t_end, cfg, sample_times, r_index=None,
                         r_min=0.0):
     """The float stepper with a `_dot` loop per weighted sum: the unrolled
-    step must reproduce its samples, termination and counters bit for bit."""
+    step must reproduce its samples, termination and counters bit for bit.
+    The samples come back as lists, one per row of the stepper's array."""
+    sample_times = sample_times.tolist()  # Python floats, as grid.item gives them
     n = len(y0)
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -660,15 +664,23 @@ def _reference_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
                                r_index=0 if guard else None, r_min=cfg.r_min)
 
 
+def _run_key(out):
+    """A stepper's (samples, termination, stats) as comparable values: the
+    samples' shape and float64 bytes (which keep -0.0 and each NaN apart)."""
+    samples, term, stats = out
+    samples = np.asarray(samples, dtype=float)
+    return samples.shape, samples.tobytes(), term, repr(stats)
+
+
 def _recorded_runs(monkeypatch, name, core, run):
-    """repr of every (columns, termination, stats) that `core` returns while
-    `run()` executes with it in place of `dyn.<name>`."""
+    """_run_key of every (samples, termination, stats) that `core` returns
+    while `run()` executes with it in place of `dyn.<name>`."""
     runs = []
 
     def recording(*args, **kwargs):
         out = core(*args, **kwargs)
-        runs.append(tuple(map(repr, out)))
-        return out
+        runs.append(_run_key(out))
+        return np.asarray(out[0], dtype=float), *out[1:]
     monkeypatch.setattr(dyn, name, recording)
     run()
     monkeypatch.undo()
@@ -736,11 +748,9 @@ class TestUnrolledStepper:
         # must start from 0.0 as the _dot loop did, or the zero's sign flips
         def rhs(t, y):
             return [y[1], -y[0] + 1e-3 * math.copysign(1.0, y[2]), -0.0]
-        runs = []
-        for core in (dyn._core_integrate, _dot_reference_core):
-            cols, term, stats = core(rhs, 0.0, (1.0, 0.0, -0.0), 1.0, IntegratorConfig(),
-                                     dyn._sample_grid(0.0, 1.0, 0.01))
-            runs.append((repr(cols), term, repr(stats)))
+        runs = [_run_key(core(rhs, 0.0, (1.0, 0.0, -0.0), 1.0, IntegratorConfig(),
+                              dyn._sample_grid(0.0, 1.0, 0.01)))
+                for core in (dyn._core_integrate, _dot_reference_core)]
         assert runs[0] == runs[1]
 
     def test_quadrature_samples_bit_identical(self):
@@ -752,11 +762,11 @@ class TestUnrolledStepper:
             return [1.0 + t * (3.0 + t * (-5.0 + t * 2.0)), t * t * (7.0 - 9.0 * t * t)]
         cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, h_init=0.5, stride=1e-4)
         grid = dyn._sample_grid(0.0, 0.5, cfg.stride)
-        got, want = (repr(core(rhs, 0.0, (0.0, 0.0), 0.5, cfg, grid))
+        got, want = (_run_key(core(rhs, 0.0, (0.0, 0.0), 0.5, cfg, grid))
                      for core in (dyn._core_integrate, _dot_reference_core))
         assert got == want
         h = dyn._core_integrate(rhs, 0.0, (0.0, 0.0), 0.5, cfg, grid)[0][1]
-        assert max(map(h.count, set(h))) > dyn._BLOCK
+        assert np.unique(h, return_counts=True)[1].max() > dyn._BLOCK
 
     def test_non_finite_stages_silent(self):
         # stages near the double limit: the interpolant weights overflow
@@ -765,15 +775,13 @@ class TestUnrolledStepper:
         # must be too, with the same samples.
         def rhs(t, y):
             return [1.7e308, 1.0]
-        runs = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for core in (dyn._core_integrate, _dot_reference_core):
-                cols, term, stats = core(rhs, 0.0, (1e308, math.inf), 2.0, IntegratorConfig(),
-                                         dyn._sample_grid(0.0, 2.0, 0.01))
-                runs.append((repr(cols), term, repr(stats)))
-        assert runs[0] == runs[1]
-        y0, y1 = np.array(cols[2]), np.array(cols[3])
+            runs = [core(rhs, 0.0, (1e308, math.inf), 2.0, IntegratorConfig(),
+                         dyn._sample_grid(0.0, 2.0, 0.01))
+                    for core in (dyn._core_integrate, _dot_reference_core)]
+        assert _run_key(runs[0]) == _run_key(runs[1])
+        y0, y1 = runs[0][0][2:]
         assert np.isnan(y0[1:]).all() and np.isposinf(y1).all()
 
 
@@ -801,14 +809,27 @@ class TestSampleGrid:
         (1.0, -6.789, 0.25),                  # backward, same
         (0.0, 0.004, 0.01),                   # span shorter than one stride
         (7.0, 6.999, 0.01),                   # backward, same
-        (0.0, 8193.0, 1.0),                   # inner times fill one chunk exactly
-        (-0.0, 100.0, 0.01),                  # several chunks, t0 = -0.0 kept
+        (0.0, 8193.0, 1.0),                   # a whole number of strides
+        (-0.0, 100.0, 0.01),                  # t0 = -0.0 kept
         (0.1, 0.1 + 3 * 0.1, 0.1),            # an inner time lands on t_end
+        (1e4, 1e4 - 0.7 * dyn.MAX_SAMPLES * 0.01, 0.01),  # long, backward, far from 0
     ])
     def test_matches_loop(self, t0, t_end, stride):
         got = dyn._sample_grid(t0, t_end, stride)
-        assert type(got) is list and all(type(v) is float for v in got)
-        assert repr(got) == repr(_loop_sample_grid(t0, t_end, stride))
+        assert got.dtype == np.float64 and got.ndim == 1
+        assert got.tobytes() == np.array(_loop_sample_grid(t0, t_end, stride)).tobytes()
+
+    def test_matches_loop_on_random_spans(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            stride = float(10.0 ** rng.uniform(-3, 0))
+            t0 = float(rng.uniform(-600.0, 600.0))
+            t_end = t0 + float(rng.uniform(-1, 1)) * stride * float(rng.integers(1, 400))
+            if t_end == t0:
+                continue
+            got = dyn._sample_grid(t0, t_end, stride)
+            want = np.array(_loop_sample_grid(t0, t_end, stride))
+            assert got.tobytes() == want.tobytes(), (t0, t_end, stride)
 
 
 def _row_writer(traj, path):
@@ -857,3 +878,44 @@ class TestCsvBytes:
     def test_crosscheck_trajectory(self, tmp_path):
         res = dyn.cartesian_crosscheck(eccentric_kepler(), PolarState(0.0, 1.4, 0.0, 0.2), 4.0)
         self.assert_same_bytes(tmp_path, res.trajectory)
+
+
+@pytest.fixture(scope="module")
+def long_run_peaks(tmp_path_factory):
+    """A 200,001-sample run: (its trajectory's array bytes, the traced peak
+    of `integrate`, the traced peak of `write_csv` with the trajectory
+    live)."""
+    fam = pot.preset("oscillator", g1="(poly 1 0 0.0001)", L3=1.0).family
+    s0 = PolarState(0.0, 1.0, 0.0)
+    dyn.integrate(fam, s0, 1.0)  # compile the family's evaluators untraced
+    # with a profile hook set, even a no-op one, tracemalloc runs this about
+    # 7x faster on CPython 3.11 (12 s without one on 2 vCPUs)
+    hook = sys.getprofile()
+    sys.setprofile(hook or (lambda *args: None))
+    tracemalloc.start()
+    try:
+        traj = dyn.integrate(fam, s0, 2000.0)
+        integrate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dyn.write_csv(traj, tmp_path_factory.mktemp("long") / "trajectory.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setprofile(hook)
+    assert len(traj) == 200_001 and traj.termination == "completed"
+    nbytes = sum(a.nbytes for a in (traj.t, traj.r, traj.rdot, traj.theta, traj.h_accepted))
+    return nbytes, integrate_peak, csv_peak
+
+
+class TestLongRunMemory:
+    """A run holds its samples once, as float64 arrays, and the CSV writer
+    formats a block of rows at a time: each peak stays near the
+    trajectory's own bytes."""
+
+    def test_integrate_peak(self, long_run_peaks):
+        nbytes, peak, _ = long_run_peaks
+        assert peak < 1.5 * nbytes
+
+    def test_write_csv_peak(self, long_run_peaks):
+        nbytes, _, peak = long_run_peaks
+        assert peak < 1.5 * nbytes
