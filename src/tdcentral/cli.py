@@ -230,10 +230,6 @@ def _plan_from(node, seed, where: str = "config.plan") -> vf.SamplingPlan:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(args, filename: str, text: str, to_stdout: bool = True) -> None:
     if to_stdout:
         sys.stdout.write(text)
@@ -326,7 +322,7 @@ def _suite_rescaling(cfg, seed):
                                               _get(case, "L3", float, 0.0, where))
         except InvalidParameters as e:
             raise ConfigError(f"{where}: key 'phi': {e}") from e
-        checks[f"rescaling-{i}"] = vf.CheckResult(diff, 1e-12, diff <= 1e-12)
+        checks[f"rescaling-{i}"] = vf.check(diff, 1e-12)
     return vf.VerificationReport(checks)
 
 
@@ -337,14 +333,12 @@ def _suite_closed_form(cfg, seed):
     traj = dyn.integrate(fam, s0, 5.0)
     I0 = fam.fi(s0.t, s0.r, s0.rdot)
     c0 = s0.r / fam.g2(s0.t)
-    radius_dev = float(np.max(np.abs(vf.closed_form_r(fam, I0, c0, traj.t[::10])
-                                     - traj.r[::10])))
+    radius_dev = vf.closed_form_r(fam, I0, c0, traj.t[::10]) - traj.r[::10]
     kc = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=1.0).family
     ecc = dyn.integrate(kc, dyn.PolarState(0.0, 1.4, 0.0, 0.2), 6.0)
-    angle_dev = vf.closed_form_theta(ecc, 1.0)
     return vf.VerificationReport({
-        "radius-form": vf.CheckResult(radius_dev, 1e-6, radius_dev <= 1e-6),
-        "angle-form": vf.CheckResult(angle_dev, 1e-7, angle_dev <= 1e-7),
+        "radius-form": vf.check(radius_dev, 1e-6),
+        "angle-form": vf.check(vf.closed_form_theta(ecc, 1.0), 1e-7),
     })
 
 
@@ -381,9 +375,8 @@ def _suite_orbit(cfg, seed):
         fam = _family_from({"preset": "scaled-kepler", "params": {"phi": phi, "k": k, "L3": L3}},
                            (s0.t, t_end), where)
         traj = dyn.integrate(fam, s0, t_end)
-        dev = vf.orbit_angle_check(phi, k, L3, traj)
         tol = _get(case, "tolerance", float, 1e-7, where)
-        checks[f"orbit-{name}"] = vf.CheckResult(dev, tol, dev <= tol)
+        checks[f"orbit-{name}"] = vf.check(vf.orbit_angle_check(phi, k, L3, traj), tol)
     return vf.VerificationReport(checks)
 
 
@@ -418,7 +411,6 @@ def _suite_radial_mode(cfg, seed):
             return np.max(np.abs(qm.radial_mode_residual(p, Rs)), axis=-1)
 
     by_b = {b: worst(a_values, b, hbar_values) for b in b_values}
-    top = 0.0
     for (i, a), b, (j, hbar) in itertools.product(enumerate(a_values), b_values,
                                                   enumerate(hbar_values)):
         w = float(by_b[b][i, j])
@@ -430,13 +422,12 @@ def _suite_radial_mode(cfg, seed):
                 f"{where}: key {', '.join(map(repr, keys or list(alone)[1:]))}: "
                 f"the mode a={a!r}, b={b!r}, hbar={hbar!r} with L3={L3!r} "
                 f"leaves the double-precision range")
-        top = max(top, w)
     ground = qm.WavefunctionParams(a=0.0, b=0, hbar=1.0)
     mod_dev = abs(abs(qm.wavefunction(ground, 1.0, 0.4, 0.7))
                   - math.exp(-0.5))
     return vf.VerificationReport({
-        "mode-residual": vf.CheckResult(top, 1e-9, top <= 1e-9),
-        "mode-modulus": vf.CheckResult(mod_dev, 1e-12, mod_dev <= 1e-12),
+        "mode-residual": vf.check(list(by_b.values()), 1e-9),
+        "mode-modulus": vf.check(mod_dev, 1e-12),
     })
 
 
@@ -457,7 +448,7 @@ def cmd_list_presets(args) -> int:
     if args.json:
         payload = {"presets": [{"name": n, "description": d}
                                for n, d in entries]}
-        _emit(args, "presets.json", _dump(payload))
+        _emit(args, "presets.json", vf.dumps(payload) + "\n")
     else:
         lines = "".join(f"{name}: {desc}\n" for name, desc in entries)
         _emit(args, "presets.txt", lines)
@@ -480,12 +471,12 @@ def cmd_simulate(args) -> int:
     traj = dyn.integrate(fam, s0, t_end, icfg)
     invariant = fi.first_integral(fam)
     drift = dyn.drift_report(traj, invariant)
-    ok = drift <= tol and traj.termination == "completed"
+    ok = vf.check(drift, tol).passed and traj.termination == "completed"
     payload = {"invariant": invariant.kind, "family": fam.label,
                "drift": drift, "tolerance": tol,
                "termination": traj.termination, "samples": len(traj),
                "integrator": dataclasses.asdict(traj.stats), "pass": ok}
-    _emit(args, "drift.json", _dump(payload))  # makes the --out directory
+    _emit(args, "drift.json", vf.dumps(payload) + "\n")  # makes the --out directory
     if args.out:
         traj.to_csv(Path(args.out) / "trajectory.csv")
     return 0 if ok else 1
@@ -563,7 +554,7 @@ def cmd_wavefunction(args) -> int:
                                                 float(t), z.real, z.imag,
                                                 abs(z)))))
     _emit(args, "wavefunction.csv", "\n".join(rows) + "\n", to_stdout=False)
-    sys.stdout.write(_dump({"rows": len(rows) - 1, "pass": True}))
+    sys.stdout.write(vf.dumps({"rows": len(rows) - 1, "pass": True}) + "\n")
     return 0
 
 
@@ -595,16 +586,12 @@ def cmd_binary(args) -> int:
         "L3": _get(cfg, "L3", float, math.sqrt(G * r0), where)}},
         (0.0, t_end), where)
     # circular speed for the t = 0 mass; exact when the mass is constant
-    s0 = dyn.PolarState(0.0, r0, 0.0)
-    traj = dyn.integrate(fam, s0, t_end)
+    cross = dyn.cartesian_crosscheck(fam, dyn.PolarState(0.0, r0, 0.0), t_end)
     energy = fi.reduced_energy_integral(fam)
-    e_drift = dyn.drift_report(traj, energy)
-    cross = dyn.cartesian_crosscheck(fam, s0, t_end)
-    checks = {
-        "energy-drift": vf.CheckResult(e_drift, tol, e_drift <= tol),
-        "l3-drift": vf.CheckResult(cross.l3_drift, tol, cross.l3_drift <= tol),
-    }
-    report = vf.VerificationReport(checks)
+    report = vf.VerificationReport({
+        "energy-drift": vf.check(dyn.drift_report(cross.reference, energy), tol),
+        "l3-drift": vf.check(cross.l3_drift, tol),
+    })
     _emit(args, "binary.json", report.to_json() + "\n")
     return 0 if report.passed else 1
 

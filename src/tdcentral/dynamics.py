@@ -153,6 +153,7 @@ class CrosscheckResult:
     trajectory: Trajectory
     position_deviation: float
     l3_drift: float
+    reference: Trajectory  # the polar run of `integrate` it is compared with
 
 
 def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
@@ -560,8 +561,9 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
     """Integrate the planar Cartesian system and compare with `integrate`.
 
     Returns the polar-converted Cartesian trajectory, the maximum position
-    deviation between the two integrations, and the maximum drift of the
-    angular momentum x vy - y vx along the Cartesian run.
+    deviation between the two integrations, the maximum drift of the
+    angular momentum x vy - y vx along the Cartesian run, and the polar
+    reference run.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -597,7 +599,7 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
     dev = float(np.max(np.hypot(x[:m] - xr, yy[:m] - yr))) if m else math.inf
     l3 = x * vy - yy * vx
     l3_drift = float(np.max(np.abs(l3 - l3[0])))
-    return CrosscheckResult(cart, dev, l3_drift)
+    return CrosscheckResult(cart, dev, l3_drift, ref)
 
 
 def drift_series(traj: Trajectory, fi) -> np.ndarray:

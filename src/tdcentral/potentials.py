@@ -385,9 +385,9 @@ def ermakov_residuals(rho, alpha, Omega, F1, k: float, t):
     alpha = as_fn(alpha)
     Omega = as_fn(Omega)
     F1 = as_fn(F1)
-    rv = rho(t)
-    bad = (rv == 0.0) if isinstance(rv, float) else bool(np.any(rv == 0.0))
-    if bad:
+    # numpy values, so that a power beyond the double range is inf, not OverflowError
+    rv = np.broadcast_to(np.asarray(rho(t), dtype=float), np.shape(t))
+    if np.any(rv == 0.0):
         raise DomainError("rho vanishes at the requested time")
     om2 = Omega(t) ** 2
     res1 = rho.d().d()(t) + om2 * rv - k / rv**3

@@ -16,13 +16,17 @@ Checks implemented:
   * a report variant for the 1d system recording both bracket readings of
     its invariant.
 
-Every sampled check is driven by a seeded SamplingPlan and assembled into a
-VerificationReport that serializes deterministically.
+Every verdict is built by `check`: the largest |value| against a tolerance,
+where a NaN value fails.  Every sampled check is driven by a seeded
+SamplingPlan and assembled into a VerificationReport.  `dumps` writes every
+JSON artifact of the package deterministically and strictly (RFC 8259): a
+non-finite float is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +40,7 @@ from .potentials import FamilyA, FamilyB, LewisLeach1d, _CentralFamily, \
 from .scalarfn import as_fn
 
 __all__ = [
-    "SamplingPlan", "CheckResult", "VerificationReport",
+    "SamplingPlan", "CheckResult", "VerificationReport", "check", "dumps",
     "pde_residuals", "noether_check", "rescaled_shape_recovery",
     "closed_form_r", "closed_form_theta", "orbit_angle_check",
     "lewis_leach_report", "PerturbedPotential", "MismatchedShapeFamily",
@@ -89,11 +93,10 @@ class VerificationReport:
         return all(c.passed for c in self.checks.values() if c.required)
 
     def to_json(self) -> str:
-        body = {name: {"max_residual": float(c.max_residual),
-                       "tolerance": float(c.tolerance),
-                       "pass": bool(c.passed)}
-                for name, c in self.checks.items()}
-        return json.dumps(body, indent=2, sort_keys=True)
+        return dumps({name: {"max_residual": float(c.max_residual),
+                             "tolerance": float(c.tolerance),
+                             "pass": bool(c.passed)}
+                      for name, c in self.checks.items()})
 
     def merged(self, other: "VerificationReport") -> "VerificationReport":
         both = dict(self.checks)
@@ -109,9 +112,28 @@ _DRIFT_TOL = 1e-7
 _PROFILE_TOL = 1e-10
 
 
-def _check(values, tol, required=True) -> CheckResult:
-    worst = float(np.max(np.abs(np.asarray(values, dtype=float))))
+def check(values, tol, required=True) -> CheckResult:
+    """The verdict max|values| <= tol over a number or an array (0.0 when
+    empty); a NaN value propagates to max_residual and fails."""
+    worst = float(np.max(np.abs(values), initial=0.0))
     return CheckResult(worst, tol, worst <= tol, required)
+
+
+def _finite(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def dumps(obj) -> str:
+    """Deterministic, strict JSON text of obj: sorted keys, two-space indent,
+    a non-finite float written as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def pde_residuals(fam, plan: SamplingPlan | None = None) -> VerificationReport:
@@ -142,9 +164,9 @@ def pde_residuals(fam, plan: SamplingPlan | None = None) -> VerificationReport:
           + 2.0 * g1 * fam.d2U_dtdr(t, r) + 3.0 * g1d * ur
           + g1ddd * r - g2dd)
     return VerificationReport({
-        "pde-r1": _check(r1, _PDE_TOL),
-        "pde-r2": _check(r2, _PDE_TOL),
-        "pde-r3": _check(r3, _PDE_TOL),
+        "pde-r1": check(r1, _PDE_TOL),
+        "pde-r2": check(r2, _PDE_TOL),
+        "pde-r3": check(r3, _PDE_TOL),
     }, plan)
 
 
@@ -170,8 +192,8 @@ def noether_check(fam, plan: SamplingPlan | None = None) -> VerificationReport:
     cfg_res = (eta1 * (-fam.dU_dr(t, r)) + (deta1_dt + rd * g1d) * rd
                - df_dt - rd * df_dr)
     return VerificationReport({
-        "noether-config": _check(cfg_res, _NOETHER_CONFIG_TOL),
-        "noether-velocity": _check(vel_res, _NOETHER_VELOCITY_TOL),
+        "noether-config": check(cfg_res, _NOETHER_CONFIG_TOL),
+        "noether-velocity": check(vel_res, _NOETHER_VELOCITY_TOL),
     }, plan)
 
 
@@ -225,6 +247,7 @@ def closed_form_theta(traj: dyn.Trajectory, L3: float,
     return float(np.max(np.abs(rebuilt - traj.theta)))
 
 
+@np.errstate(all="ignore")  # a state beyond the double range gives a nan deviation
 def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
     """Orbit-angle formula for the Kepler potential with scale profile phi:
 
@@ -279,8 +302,8 @@ def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState,
     with np.errstate(all="ignore"):  # an inf or nan residual fails its check
         res1, res2 = ermakov_residuals(fam.rho, fam.alpha, fam.Omega, fam.F1,
                                        fam.k, ts)
-    checks = {"ermakov-profile": _check(res1, _PROFILE_TOL),
-              "ermakov-center": _check(res2, _PROFILE_TOL)}
+    checks = {"ermakov-profile": check(res1, _PROFILE_TOL),
+              "ermakov-center": check(res2, _PROFILE_TOL)}
     if not all(c.passed for c in checks.values()):
         return VerificationReport(checks)
     traj = dyn.integrate(fam, s0, t_end)
@@ -288,8 +311,8 @@ def lewis_leach_report(fam: LewisLeach1d, s0: dyn.PolarState,
     literal = dyn.drift_report(traj, fam.fi_profile_rate)
     return VerificationReport({
         **checks,
-        "invariant-drift": _check([drift], _DRIFT_TOL),
-        "literal-bracket-drift": _check([literal], _DRIFT_TOL, required=False),
+        "invariant-drift": check(drift, _DRIFT_TOL),
+        "literal-bracket-drift": check(literal, _DRIFT_TOL, required=False),
     })
 
 

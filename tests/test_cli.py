@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdcentral import cli
+from tdcentral import dynamics as dyn
 from tdcentral import potentials as pot
 from tdcentral.cli import main
 from tdcentral.dynamics import MAX_SAMPLES
@@ -27,6 +28,15 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """The value of JSON text that holds no NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def oscillator_config(**extra):
@@ -539,14 +549,29 @@ class TestRunFailures:
         (["verify", "--suite", "ermakov"],
          {"ermakov": {"system": {**cli._default_driven_1d()["system"],
                                  "Omega": "(exp (poly 0 800))"}}}),
-    ], ids=["r-1e200", "rdot-1e200", "ermakov-omega-overflow"])
+        # a constant rho cubed overflows; the invariant drift is nan
+        (["verify", "--suite", "ermakov"],
+         {"ermakov": {"system": {"kind": "driven-1d", "rho": "1e200"}}}),
+        # the orbit invariant overflows, so every branch deviation is nan
+        (["verify", "--suite", "orbit"],
+         {"orbit": {"cases": [{"name": "s", "phi": "1", "k": 1.0, "L3": 0.5, "t_end": 1.5,
+                               "initial": {"t": 0.0, "r": 1.2, "rdot": 1e200}}]}}),
+        # t^900 overflows in the shape, so every pde residual is nan
+        (["verify", "--suite", "pde"],
+         {"family": {"kind": "quadratic", "g1": "(poly 1 0 1)", "g2": "0",
+                     "F": "(pow t 900)", "L3": 0.5}, "plan": {"t_range": [0, 3]}}),
+    ], ids=["r-1e200", "rdot-1e200", "ermakov-omega-overflow", "ermakov-rho-1e200",
+            "orbit-rdot-1e200", "pde-shape-overflow"])
     def test_state_beyond_double_range_fails_silently(self, tmp_path, capsys, argv, cfg):
-        # a non-finite drift or residual fails its check: exit 1, no warning
+        # a non-finite drift or residual fails its check: exit 1, no warning,
+        # and the artifact writes it as null
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main([*argv, "--config", write_config(tmp_path, cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 1 and capsys.readouterr().err == ""
+        artifacts = list((tmp_path / "out").glob("*.json"))
+        assert artifacts and all(strict_json(a.read_text()) for a in artifacts)
 
 
 class TestListPresets:
@@ -667,6 +692,13 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert any(not entry["pass"] for entry in payload.values())
 
+    @pytest.mark.parametrize("key", ["a_values", "b_values", "hbar_values"])
+    def test_radial_mode_empty_list_reads_zero(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, {"radial-mode": {key: []}})
+        assert main(["verify", "--suite", "radial-mode", "--config", path]) == 0
+        entry = json.loads(capsys.readouterr().out)["mode-residual"]
+        assert entry["max_residual"] == 0.0 and entry["pass"] is True
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
         assert "invalid choice: 'nonsense'" in capsys.readouterr().err
@@ -705,7 +737,7 @@ class TestOrbit:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["verify", "--suite", "orbit", "--config", path]) == 1
         entry = json.loads(capsys.readouterr().out)["orbit-s"]
-        assert math.isnan(entry["max_residual"]) and entry["pass"] is False
+        assert entry["max_residual"] is None and entry["pass"] is False
 
     def test_subcommand_removed(self, capsys):
         # `verify --suite orbit` is the one way to run the orbit cases
@@ -767,6 +799,15 @@ class TestBinary:
     def test_tolerance_override(self, tmp_path, capsys):
         path = write_config(tmp_path, {"tolerance": 1e-15, "periods": 2.0})
         assert main(["binary", "--config", path]) == 1
+        capsys.readouterr()
+
+    def test_polar_run_integrated_once(self, capsys, monkeypatch):
+        # the energy drift reads the cross-check's own polar reference run
+        runs = []
+        integrate = dyn.integrate
+        monkeypatch.setattr(dyn, "integrate", lambda *a: runs.append(a) or integrate(*a))
+        assert main(["binary"]) == 0
+        assert len(runs) == 1
         capsys.readouterr()
 
 
@@ -893,13 +934,16 @@ def _changes(draw):
 
 def _run_cli(argv, cfg):
     """Exit code and stderr of one in-process run on a config object; an
-    exception escaping main is what the command line shows as a traceback."""
+    exception escaping main is what the command line shows as a traceback.
+    Every JSON artifact of the run must be strict JSON."""
     err = StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         with redirect_stdout(StringIO()), redirect_stderr(err):
             rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        for artifact in (Path(tmp) / "out").glob("*.json"):
+            strict_json(artifact.read_text(encoding="utf-8"))
     return rc, err.getvalue()
 
 

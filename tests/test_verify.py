@@ -356,6 +356,30 @@ class TestVerificationReport:
         bad = vf.pde_residuals(vf.PerturbedPotential(fam, eps=1e-3), PLAN)
         assert not good.merged(bad).passed
 
+    @pytest.mark.parametrize("values,worst,passed", [
+        ([-3e-10, 2e-10], 3e-10, True),
+        (-2e-9, 2e-9, False),
+        ([], 0.0, True),
+        ([[1e-12], [0.0]], 1e-12, True),
+        ([0.0, np.nan, 1.0], None, False),
+        ([np.inf], np.inf, False),
+    ], ids=["array", "scalar", "empty", "nested", "nan", "inf"])
+    def test_check(self, values, worst, passed):
+        c = vf.check(values, 1e-9)
+        assert (np.isnan(c.max_residual) if worst is None else c.max_residual == worst)
+        assert c.passed is passed and c.tolerance == 1e-9
+
+    def test_non_finite_residual_is_null(self):
+        rep = vf.VerificationReport({"a": vf.check([np.nan], 1e-9),
+                                     "b": vf.check([np.inf], 1e-9)})
+        payload = json.loads(rep.to_json(), parse_constant=pytest.fail)
+        assert payload == {name: {"max_residual": None, "pass": False, "tolerance": 1e-9}
+                           for name in ("a", "b")}
+
+    def test_dumps_nested_non_finite(self):
+        assert vf.dumps({"b": [1.5, -np.inf], "a": {"x": float("nan"), "n": 2}}) == \
+            '{\n  "a": {\n    "n": 2,\n    "x": null\n  },\n  "b": [\n    1.5,\n    null\n  ]\n}'
+
 
 def pde_reference(fam, plan):
     """Per-sample scalar loop of the three defining-condition residuals."""
