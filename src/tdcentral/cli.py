@@ -138,12 +138,16 @@ def _family_from(node, span, where: str = "config.family"):
     return fam
 
 
-# a family's bad values; RecursionError: an expression nested too deeply to parse or build
-_FAULTS = (InvalidParameters, DomainError, ParseError, TypeError, RecursionError)
+# a family's bad values; RecursionError: an expression nested too deeply to parse or build;
+# ArithmeticError: say a constant folded beyond the double range while the family is built
+_FAULTS = (InvalidParameters, DomainError, ParseError, TypeError, RecursionError,
+           ArithmeticError)
 
 
 def _fault_text(e: Exception) -> str:
-    return "expression nested too deeply" if isinstance(e, RecursionError) else str(e)
+    if isinstance(e, RecursionError):
+        return "expression nested too deeply"
+    return "a constant beyond the double range" if isinstance(e, OverflowError) else str(e)
 
 
 def _culprit(build, given: dict, span) -> str:

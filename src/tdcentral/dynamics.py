@@ -5,8 +5,11 @@ U = V + L3^2/(2r^2); theta is carried as a third component via
 thetadot = L3/r^2.  The stepper is a hand-rolled Dormand-Prince 5(4)
 embedded pair with PI step-size control, FSAL, and the standard quartic
 dense-output interpolant, so trajectories are sampled on a fixed stride
-without constraining the step sequence.  Radius collapse (r < r_min)
-terminates the trajectory with a recorded reason instead of raising.
+without constraining the step sequence.  The family knows its domain:
+its dU_dr (and dV_dr) refuses r <= 0 with a DomainError, and the stepper
+retries such a step shorter.  The stepper itself makes no radius test
+before a right-hand side; it only decides radius collapse (r < r_min),
+which terminates the trajectory with a recorded reason instead of raising.
 
 The stepper runs on Python floats and is unrolled: every stage, solution
 and error sum is one expression per component, 0 + w1 k1 + w2 k2 + ... in
@@ -276,16 +279,17 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     as it is, each stage makes one dU_dr call, and theta's stage sums are
     left out, since no right-hand side reads theta.  Every other sum, the
     error norm included, is `_core_integrate`'s, in tableau order from 0.0,
-    so until a radius check below ends a run, its samples and counters are
+    so until a collapse test below ends a run, its samples and counters are
     bit-identical to `_core_integrate`'s on that right-hand side.
 
-    With `guard` set, r is a radius: a stage with r <= 0 raises DomainError
-    (and is retried shorter), and the run ends with reason
-    "radius_collapse" when r falls below cfg.r_min, at a non-finite state,
-    or at a step-size floor reached while r falls fast enough to reach 0
-    within 1000 steps.  A sample below r_min, found when `_DenseBlock`
-    evaluates it, ends the run at its step, also when the stepper went on
-    past that step and raised.
+    Stage radii are the family's to refuse: dU_dr raises DomainError
+    outside its domain (r <= 0 for a radial family), and the step is
+    retried shorter.  The kernel only decides radius collapse: with `guard`
+    set, the run ends with reason "radius_collapse" when r falls below
+    cfg.r_min, at a non-finite state, at a step-size floor reached while r
+    falls fast enough to reach 0 within 1000 steps, or at a sample below
+    r_min (found when `_DenseBlock` evaluates it, also after the stepper
+    went on past its step and raised).
     """
     c2, c3, c4, c5, c6 = _C[1:6]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -300,8 +304,6 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     r, v, th = map(float, y0)
     h = min(cfg.h_init, h_max, span) if span > 0 else cfg.h_init
     # stage i: (r_i, v_i) the stage state, k_i = (v_i, f_i, w_i)
-    if guard and r <= 0.0:
-        raise DomainError("r <= 0 during step")
     f1 = -dU_dr(t, r)
     w1 = L3 * r**-2 if L3 else 0.0
     evals = 1
@@ -313,6 +315,7 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     nst = len(sample_times)
     grid_at = sample_times.item
     term = "completed"
+    hit = failure = None
     try:
         while direction * (t_end - t) > 0.0:
             if accepted + rejected + retries >= max_steps:
@@ -330,36 +333,26 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
                 evals += 1
                 r2 = r + hd * (0.0 + a21 * v)
                 v2 = v + hd * (0.0 + a21 * f1)
-                if guard and r2 <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f2 = -dU_dr(t + c2 * hd, r2)
                 w2 = L3 * r2**-2 if L3 else 0.0
                 evals += 1
                 r3 = r + hd * (0.0 + a31 * v + a32 * v2)
                 v3 = v + hd * (0.0 + a31 * f1 + a32 * f2)
-                if guard and r3 <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f3 = -dU_dr(t + c3 * hd, r3)
                 w3 = L3 * r3**-2 if L3 else 0.0
                 evals += 1
                 r4 = r + hd * (0.0 + a41 * v + a42 * v2 + a43 * v3)
                 v4 = v + hd * (0.0 + a41 * f1 + a42 * f2 + a43 * f3)
-                if guard and r4 <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f4 = -dU_dr(t + c4 * hd, r4)
                 w4 = L3 * r4**-2 if L3 else 0.0
                 evals += 1
                 r5 = r + hd * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
                 v5 = v + hd * (0.0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
-                if guard and r5 <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f5 = -dU_dr(t + c5 * hd, r5)
                 w5 = L3 * r5**-2 if L3 else 0.0
                 evals += 1
                 r6 = r + hd * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
                 v6 = v + hd * (0.0 + a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
-                if guard and r6 <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f6 = -dU_dr(t + c6 * hd, r6)
                 w6 = L3 * r6**-2 if L3 else 0.0
                 rn = r + hd * (0.0 + b1 * v + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
@@ -367,8 +360,6 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
                 thn = th + hd * (0.0 + b1 * w1 + b2 * w2 + b3 * w3 + b4 * w4 + b5 * w5 + b6 * w6)
                 t_new = t + hd
                 evals += 1
-                if guard and rn <= 0.0:
-                    raise DomainError("r <= 0 during step")
                 f7 = -dU_dr(t_new, rn)
                 w7 = L3 * rn**-2 if L3 else 0.0
             except DomainError:
@@ -413,7 +404,7 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
                                    (t, hd, h, r, v, th, v, f1, w1, v2, f2, w2, v3, f3, w3,
                                     v4, f4, w4, v5, f5, w5, v6, f6, w6, vn, f7, w7))
                 if hit is not None:
-                    return dense.filled(), "radius_collapse", hit
+                    break
             if guard and (rn < r_min or not (isfinite(rn) and isfinite(vn) and isfinite(thn))):
                 term = "radius_collapse"
                 break
@@ -423,16 +414,13 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
             err_prev = err
             t, r, v, th, f1, w1 = t_new, rn, vn, thn, f7, w7
             h *= factor
-    except Exception:
-        # whatever a later step raised, a pending sample below r_min ended
-        # the run before that step
-        hit = dense.flush()
-        if hit is None:
-            raise
+    except Exception as e:  # raised after the flush below, unless a sample ends the run first
+        failure = e
+    hit = hit or dense.flush()
+    if hit is not None:  # a sample below r_min ends the run at its step
         return dense.filled(), "radius_collapse", hit
-    hit = dense.flush()
-    if hit is not None:
-        return dense.filled(), "radius_collapse", hit
+    if failure is not None:
+        raise failure
     return dense.filled(), term, IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
 
 
@@ -544,16 +532,16 @@ def check_horizon(t0: float, t_end: float, stride: float) -> None:
 
 
 def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Propagate (r, rdot, theta) from s0 to t_end on the family's dynamics."""
+    """Propagate (r, rdot, theta) from s0 to t_end on the family's dynamics.
+    The family's dU_dr refuses r <= 0 (a stage retried shorter); the kernel
+    only decides radius collapse, the termination "radius_collapse"."""
     if cfg is None:
         cfg = IntegratorConfig()
     check_horizon(s0.t, t_end, cfg.stride)
     grid = _sample_grid(s0.t, t_end, cfg.stride)
     (ts, hs, r, rdot, theta), term, stats = _polar_kernel(
-        fam.dU_dr, fam.L3, getattr(fam, "radial", True), s0.t, (s0.r, s0.rdot, s0.theta),
-        t_end, cfg, grid)
-    return Trajectory(ts, r, rdot, theta, hs, termination=term,
-                      label=getattr(fam, "label", ""), stats=stats)
+        fam.dU_dr, fam.L3, fam.radial, s0.t, (s0.r, s0.rdot, s0.theta), t_end, cfg, grid)
+    return Trajectory(ts, r, rdot, theta, hs, termination=term, label=fam.label, stats=stats)
 
 
 def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
@@ -571,8 +559,6 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
 
     def rhs(t, y):
         r = math.hypot(y[0], y[1])
-        if r <= 0.0:
-            raise DomainError("r <= 0 during step")
         a = -fam.dV_dr(t, r) / r
         return [y[2], y[3], a * y[0], a * y[1]]
 
@@ -590,8 +576,7 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
     rdot = (x * vx + yy * vy) / r
     theta = np.unwrap(np.arctan2(yy, x))
     theta += s0.theta - theta[0]
-    cart = Trajectory(ts, r, rdot, theta, hs, termination=term,
-                      label=getattr(fam, "label", ""), stats=stats)
+    cart = Trajectory(ts, r, rdot, theta, hs, termination=term, label=fam.label, stats=stats)
 
     m = min(len(ref), len(cart))
     xr = ref.r[:m] * np.cos(ref.theta[:m])

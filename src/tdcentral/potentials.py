@@ -69,12 +69,6 @@ __all__ = [
 _U = sf.T  # shape functions are trees over their own single argument
 
 
-def _check_radius(r):
-    bad = (r <= 0.0) if isinstance(r, (int, float)) else bool(np.any(np.asarray(r) <= 0.0))
-    if bad:
-        raise DomainError("radius must be positive")
-
-
 _MAX_DEGREE = 32  # a larger polynomial takes the sampled test
 
 
@@ -160,8 +154,11 @@ class _CentralFamily:
     F_dd = cached_property(lambda self: self.F_d.d())
 
     def _guard(self, r):
-        if self.radial:
-            _check_radius(r)
+        """Refuse r <= 0 of a radial family: the one radius check, which U,
+        dU_dr and the second partials make (V and dV_dr call U and dU_dr)."""
+        if self.radial and ((r <= 0.0) if isinstance(r, (int, float))
+                            else np.any(np.asarray(r) <= 0.0)):
+            raise DomainError("radius must be positive")
 
     def arg(self, t, r):
         """Shape-function argument s(t,r)."""
@@ -218,12 +215,10 @@ class _CentralFamily:
                 + self._C(t) * self.F_d(s) * self._P_d(t))
 
     def V(self, t, r):
-        self._guard(r)
         c = 0.5 * self.L3**2
         return self.U(t, r) - c * r**-2 if c else self.U(t, r)
 
     def dV_dr(self, t, r):
-        self._guard(r)
         c = self.L3**2
         return self.dU_dr(t, r) + c * r**-3 if c else self.dU_dr(t, r)
 

@@ -800,10 +800,17 @@ def compose(outer, inner) -> ScalarFn:
 
 
 def antiderivative(integrand, t0: float = 0.0) -> ScalarFn:
-    integrand = as_fn(integrand)
-    if isinstance(integrand, Const) and integrand.value == 0.0:
-        return Const(0.0)
-    return Antiderivative(integrand, float(t0))
+    """t -> integral of integrand from t0 to t.  A constant c folds to the
+    polynomial c t - c t0 (to 0 when c is 0) while c t0 is finite; any other
+    integrand, a non-finite constant among them, is an Antiderivative."""
+    integrand, t0 = as_fn(integrand), float(t0)
+    if isinstance(integrand, Const):
+        c = integrand.value
+        if c == 0.0:
+            return Const(0.0)
+        if math.isfinite(c * t0):
+            return poly(-c * t0, c)
+    return Antiderivative(integrand, t0)
 
 
 def integrate(f: ScalarFn, a: float, b: float) -> float:

@@ -272,18 +272,12 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
             "turning point of phi/r falls on a sample; perturb the stride")
     amp = (L3 / k) * np.sqrt(np.maximum(2.0 * (I0 + k * pv / traj.r), 0.0))
     sgn = np.sign(B)
+    cuts = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1  # a nan sign is a branch of its own
     worst = [0.0]  # the better sigma's deviation per branch; numpy keeps a nan
-    start = 0
-    while start < len(B):
-        stop = start + 1
-        while stop < len(B) and sgn[stop] == sgn[start]:
-            stop += 1
-        th = traj.theta[start:stop]
-        a = amp[start:stop]
+    for th, a in zip(np.split(traj.theta, cuts), np.split(amp, cuts)):
         if len(th) > 1:
             worst.append(np.min([np.max(np.abs(sigma * a + (th[0] - sigma * a[0]) - th))
                                  for sigma in (1.0, -1.0)]))
-        start = stop
     return float(np.max(worst))
 
 

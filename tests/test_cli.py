@@ -573,6 +573,29 @@ class TestRunFailures:
         artifacts = list((tmp_path / "out").glob("*.json"))
         assert artifacts and all(strict_json(a.read_text()) for a in artifacts)
 
+    @pytest.mark.parametrize("argv,cfg,where,key", [
+        # Omega^2 folds with a float ** while the family is built
+        (["verify", "--suite", "ermakov"],
+         {"ermakov": {"system": {"kind": "driven-1d", "rho": "1", "Omega": "1e200"}}},
+         "config.ermakov.system", "Omega"),
+        # g1^-3/2 of the profile integrand folds to a constant beyond the range
+        (["simulate"], oscillator_config(t_end=1, family={
+            "kind": "quadratic", "g1": "1e-300", "g2": "1", "F": "(pow t 2)"}),
+         "config.family", "g1"),
+        (["simulate"], oscillator_config(t_end=1, family={
+            "preset": "yukawa", "params": {"b0": 1e-300}}),
+         "config.family", "b0"),
+    ], ids=["ermakov-omega-1e200", "quadratic-g1-1e-300", "yukawa-b0-1e-300"])
+    def test_constant_overflow_names_its_key(self, tmp_path, capsys, argv, cfg, where, key):
+        # an OverflowError while the family is built is a config error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([*argv, "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"config error: {where}: key {key!r}: a constant beyond the double range\n"
+
 
 class TestListPresets:
     def test_text_catalog(self, capsys):

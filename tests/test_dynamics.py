@@ -535,6 +535,22 @@ class TestIntegratorStats:
         assert st.domain_retries == 0
         assert st.rhs_evals == 6 * (st.accepted + st.rejected) + 1
 
+    def test_plunge_retries_through_dU_dr_alone(self):
+        # radial free fall with loose tolerances and a long first step: stages
+        # cross r = 0, the kernel hands each such radius to the family's dU_dr,
+        # which refuses it, and the step is retried shorter
+        plunge = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.0).family
+        calls = []
+        traj = dyn.integrate(_RecordedFamily(plunge, calls), PolarState(0.0, 1.0, 0.0), 2.0,
+                             IntegratorConfig(rtol=1e-3, atol=1e-3, h_init=0.5))
+        refused = [r for _, r in calls if r <= 0.0]
+        assert traj.termination == "radius_collapse"
+        assert traj.stats.rhs_evals == len(calls)
+        assert traj.stats.domain_retries == len(refused) > 0
+        for r in refused:
+            with pytest.raises(DomainError, match="radius must be positive"):
+                plunge.dU_dr(0.5, r)
+
 
 # -- the unrolled step against the _dot loop it replaced ---------------------
 

@@ -249,6 +249,45 @@ class TestCompiledDUdr:
         assert fam._dU_dr_scalar is fn and fam._dU_dr_array is None
 
 
+def guarded_families():
+    """central_families() and the perturbed negative control of two of them."""
+    from tdcentral.cli import _default_family
+    from tdcentral.verify import PerturbedPotential
+    return central_families() + [
+        pytest.param(PerturbedPotential(pot.preset("oscillator").family),
+                     id="perturbed-oscillator"),
+        pytest.param(PerturbedPotential(_default_family()), id="perturbed-cross-profile")]
+
+
+# r = 0 and r < 0 as a float, a 0-d array and an array with one bad radius; and no radius
+_BAD_RADII = [0.0, -1.0, np.array(0.0), np.array(-0.5), np.array([1.0, 0.0, 2.0]),
+              np.array([0.5, -1.0]), np.empty(0)]
+
+
+class TestRadiusGuard:
+    """U and dU_dr are the only radius checks; V and dV_dr reach them first,
+    so they raise exactly what U and dU_dr raise."""
+
+    @pytest.mark.parametrize("fam", guarded_families())
+    def test_V_and_dV_dr_raise_as_U_and_dU_dr(self, fam):
+        for r in _BAD_RADII:
+            for f, base in ((fam.V, fam.U), (fam.dV_dr, fam.dU_dr)):
+                want = outcome(base, 0.5, r)
+                if fam.radial and np.size(r):
+                    assert want == (DomainError, "radius must be positive"), (f, r)
+                got = outcome(f, 0.5, r)
+                assert got == want if want[0] is DomainError else got[:2] == want[:2], (f, r)
+
+    def test_V_and_dV_dr_make_no_check_of_their_own(self, monkeypatch):
+        fam = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=0.5).family
+        calls = []
+        monkeypatch.setattr(fam, "_guard", calls.append, raising=False)
+        fam.V(0.5, 1.5)
+        fam.dV_dr(0.5, np.array([1.5]))
+        # one check each: U's and dU_dr's (which checks two floats inline)
+        assert [np.asarray(r).tolist() for r in calls] == [1.5, [1.5]]
+
+
 _LAZY = ("_A_d", "_B_d", "_C_d", "_P_d", "_Q_d", "F_dd")
 
 

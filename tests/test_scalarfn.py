@@ -251,6 +251,26 @@ class TestAntiderivative:
         f = sf.exp(sf.mul(-0.5, sf.T))
         assert sf.antiderivative(f, 1.0).d() == f
 
+    @pytest.mark.parametrize("c,t0", [(2.5, 1.5), (-3.0, -2.0), (0.7, 0.0), (1.0, 0.0)])
+    def test_finite_constant_folds(self, c, t0):
+        # c (t - t0) with no panel table: exactly 0 at t0, c as derivative
+        F = sf.antiderivative(c, t0)
+        assert not isinstance(F, sf.Antiderivative)
+        assert F(t0) == 0.0 and F.d() == sf.const(c)
+        ts = np.linspace(t0 - 3.0, t0 + 3.0, 13)
+        assert np.allclose(F(ts), c * (ts - t0), rtol=1e-15, atol=1e-15)
+        assert sf.parse(sf.to_text(F)) == F
+        assert sf.antiderivative(0.0, math.inf) == sf.const(0.0)
+
+    @pytest.mark.parametrize("c,t0", [(math.inf, 0.0), (math.nan, 1.0), (1e200, 1e200)])
+    def test_other_constants_keep_antiderivative(self, c, t0):
+        # a non-finite c, or c t0 beyond the double range, is not folded
+        F = sf.antiderivative(c, t0)
+        assert isinstance(F, sf.Antiderivative)
+        if not math.isfinite(c):
+            with pytest.raises(ToleranceNotMet):
+                F(t0 + 1.0)
+
     def test_history_independence(self):
         f = sf.sqrt(sf.poly(1, 0, 1))
         pts = [3.9, 0.2, -1.7, 2.2, 0.9]

@@ -1,6 +1,7 @@
 """Residual suites, closed-form reconstructions, and their negative controls."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,46 @@ class TestOrbitAngleCheck:
         fam = pot.preset("scaled-kepler", phi="1", k=1.0, L3=0.0).family
         traj = dyn.integrate(fam, dyn.PolarState(0.0, 1.0, 1.5), 4.0)
         assert vf.orbit_angle_check("1", 1.0, 0.0, traj) == 0.0
+
+    @pytest.mark.parametrize("nan_at", [[], [5], [5, 6], [0], [-1], [3, 4, 5, 40, 41]])
+    @pytest.mark.parametrize("field", ["rdot", "theta"])
+    def test_branches_match_sign_run_loop(self, field, nan_at):
+        # np.split at the sign changes of B gives the bits of the loop that
+        # walked its sign runs; a nan sign is a one-sample branch in both
+        phi = sf.sqrt(sf.poly(1, 0, 1))
+        fam = pot.preset("scaled-kepler", phi="(sqrt (poly 1 0 1))", k=1.0, L3=0.5).family
+        traj = dyn.integrate(fam, dyn.PolarState(0.0, 1.2, 0.2, 0.1), 6.0)
+        values = getattr(traj, field).copy()
+        values[nan_at] = np.nan
+        traj = replace(traj, **{field: values})
+        want = sign_run_orbit_check(phi, 1.0, 0.5, traj)
+        assert np.array_equal(vf.orbit_angle_check(phi, 1.0, 0.5, traj), want, equal_nan=True)
+        if not nan_at:
+            assert want.hex() == "0x1.0b47f44000000p-28"
+
+
+@np.errstate(all="ignore")
+def sign_run_orbit_check(phi, k, L3, traj):
+    """`orbit_angle_check` (L3 != 0, no ambiguous sample) as the loop over
+    the sign runs of B that np.split replaced."""
+    pv = np.broadcast_to(phi(traj.t), traj.t.shape)
+    pd = np.broadcast_to(phi.d()(traj.t), traj.t.shape)
+    B = pv * traj.rdot - pd * traj.r
+    I0 = 0.5 * B[0] ** 2 - k * pv[0] / traj.r[0]
+    amp = (L3 / k) * np.sqrt(np.maximum(2.0 * (I0 + k * pv / traj.r), 0.0))
+    sgn = np.sign(B)
+    worst = [0.0]
+    start = 0
+    while start < len(B):
+        stop = start + 1
+        while stop < len(B) and sgn[stop] == sgn[start]:
+            stop += 1
+        th, a = traj.theta[start:stop], amp[start:stop]
+        if len(th) > 1:
+            worst.append(np.min([np.max(np.abs(sigma * a + (th[0] - sigma * a[0]) - th))
+                                 for sigma in (1.0, -1.0)]))
+        start = stop
+    return float(np.max(worst))
 
 
 def driven_1d_system():
