@@ -80,7 +80,7 @@ def _scalar(node: dict, key: str, default=_MISSING, where: str = "config"):
     try:
         if isinstance(value, str):
             return sf.parse(value)
-    except (ParseError, RecursionError) as e:
+    except _FAULTS as e:  # a parse fault, or a constant folded outside its domain
         raise ConfigError(f"{where}: key {key!r}: {_fault_text(e)}") from e
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return sf.as_fn(_get(node, key, float, value, where))

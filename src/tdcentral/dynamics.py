@@ -11,29 +11,25 @@ retries such a step shorter.  The stepper itself makes no radius test
 before a right-hand side; it only decides radius collapse (r < r_min),
 which terminates the trajectory with a recorded reason instead of raising.
 
-The stepper runs on Python floats and is unrolled: every stage, solution
-and error sum is one expression per component, 0 + w1 k1 + w2 k2 + ... in
-tableau order over the tableau unpacked into locals.  `integrate` runs its
-own kernel of that stepper on three float locals (r, rdot, theta): the
-right-hand side is inlined, one dU_dr call and L3 r^-2 per stage, and
-theta's stage sums are skipped, since no right-hand side reads theta.  Its
-other sums are the generic stepper's, so its samples are bit-identical to
-the generic stepper's on the same right-hand side; only the kernel ends a
-run on radius collapse.  The generic n-component stepper stays for the
-Cartesian cross-check (n = 4); the tests hold the kernel to a summation
-loop over the polar right-hand side.  Dense output is a blocked numpy
-pass: accepted steps are recorded, and their samples are evaluated about
-a thousand at a time with the same sums in the same order, elementwise,
-so every sample is bit-identical to the per-sample summation loop it
-replaced.  The samples stay float64 arrays from end to end: the sample
-grid is one array, each run writes its samples into one preallocated
-array whose rows become the Trajectory's fields, and the CSV writer
-formats them a block of rows at a time.  Each run also counts its work
-(IntegratorStats, on Trajectory.stats).
+The stepper's source is written once, as a template, and compiled per
+system into unrolled Python-float code: every stage, solution and error
+sum is one expression per component, 0 + w1 k1 + w2 k2 + ... in tableau
+order with the zero weights kept.  It has two instances.  `integrate`
+runs the polar kernel on (r, rdot, theta), its right-hand side inlined as
+one dU_dr call and L3 r^-2 per stage, with no theta stage sums, since no
+right-hand side reads theta; only it ends a run on radius collapse.  The
+Cartesian cross-check runs the generic instance, built once per number
+of components, on rhs(t, y).  The tests hold both to a summation loop.
+Dense output is a blocked numpy pass over the recorded steps with the
+same sums in the same order, elementwise, so every sample is
+bit-identical to that loop's.  The samples stay float64 arrays from the
+sample grid to the CSV, and each run counts its work (IntegratorStats,
+on Trajectory.stats).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -159,158 +155,28 @@ class CrosscheckResult:
     reference: Trajectory  # the polar run of `integrate` it is compared with
 
 
-def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
-    """Adaptive DP5(4) over [t0, t_end] (either direction).
-
-    The state and the stages are lists of floats and `rhs(t, y)` returns a
-    list.  Emits dense samples at `sample_times`, a float64 array ordered
-    from t0 toward t_end.  Returns the samples as one float64 array with
-    rows t, h_accepted, y_0, ..., y_{n-1} and a column per sample, the
-    termination reason ("completed") and IntegratorStats.
-
-    An accepted step only counts the samples it covers and records itself;
-    `_DenseBlock` evaluates the recorded steps' samples in blocked numpy
-    passes.
-    """
-    c2, c3, c4, c5, c6 = _C[1:6]
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A[1:]
-    b1, b2, b3, b4, b5, b6 = _B
-    e1, e2, e3, e4, e5, e6, e7 = _E
-    n = len(y0)
-    direction = 1.0 if t_end >= t0 else -1.0
-    span = abs(t_end - t0)
-    t = t0
-    y = [float(v) for v in y0]
-    h = min(cfg.h_init, cfg.h_max, span) if span > 0 else cfg.h_init
-    k1 = rhs(t, y)
-    evals = 1
-    accepted = rejected = retries = 0
-    h_lo = h_hi = None
-    err_prev = 1.0
-    dense = _DenseBlock(sample_times, (t0, 0.0, *y), None)
-    si = dense.start
-    nst = len(sample_times)
-    grid_at = sample_times.item
-    while direction * (t_end - t) > 0.0:
-        if accepted + rejected + retries >= cfg.max_steps:
-            raise StepLimitExceeded(
-                f"no convergence within {cfg.max_steps} step attempts at t={t!r}")
-        h = min(h, cfg.h_max, abs(t_end - t))
-        if h <= 1e-14 * max(1.0, abs(t)):
-            raise StepLimitExceeded(f"step size underflow at t={t!r}")
-        hd = direction * h
-        try:
-            evals += 1
-            k2 = rhs(t + c2 * hd, [v + hd * (0.0 + a21 * a) for v, a in zip(y, k1)])
-            evals += 1
-            k3 = rhs(t + c3 * hd, [v + hd * (0.0 + a31 * a + a32 * b)
-                                   for v, a, b in zip(y, k1, k2)])
-            evals += 1
-            k4 = rhs(t + c4 * hd, [v + hd * (0.0 + a41 * a + a42 * b + a43 * c)
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            evals += 1
-            k5 = rhs(t + c5 * hd, [v + hd * (0.0 + a51 * a + a52 * b + a53 * c + a54 * d)
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            evals += 1
-            k6 = rhs(t + c6 * hd, [v + hd * (0.0 + a61 * a + a62 * b + a63 * c + a64 * d
-                                             + a65 * e)
-                                   for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + hd * (0.0 + b1 * a + b2 * b + b3 * c + b4 * d + b5 * e + b6 * f)
-                     for v, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)]
-            t_new = t + hd
-            evals += 1
-            k7 = rhs(t_new, y_new)
-        except DomainError:
-            # a stage left the admissible region; retry shorter
-            retries += 1
-            h *= 0.5
-            if h < 1e-12:
-                raise
-            continue
-        sq = 0.0
-        for v, w, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
-            v, w = abs(v), abs(w)
-            q = (hd * (0.0 + e1 * a + e2 * b + e3 * c + e4 * d + e5 * e + e6 * f + e7 * g)
-                 / (cfg.atol + cfg.rtol * (v if v > w else w)))
-            sq += q * q
-        err = math.sqrt(sq / n)
-        if err > 1.0 or not math.isfinite(err):
-            if not math.isfinite(err):
-                factor = _MIN_FACTOR
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
-            rejected += 1
-            h *= factor
-            continue
-        accepted += 1
-        h_lo = h if h_lo is None else min(h_lo, h)
-        h_hi = h if h_hi is None else max(h_hi, h)
-        # accepted: the samples inside (t, t_new] are this step's
-        reach = 1e-14 * max(1.0, abs(t_new))
-        s_end = si
-        while s_end < nst and direction * (grid_at(s_end) - t_new) <= reach:
-            s_end += 1
-        if s_end > si:
-            si = s_end
-            dense.record(si, (accepted, rejected, retries, evals, h_lo, h_hi),
-                         (t, hd, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
-        # PI step-size update
-        err = max(err, 1e-10)  # keep the controller finite on exact hits
-        factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
-        err_prev = err
-        t, y, k1 = t_new, y_new, k7
-        h *= factor
-    dense.flush()
-    return dense.filled(), "completed", IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
-
-
 def _collided(r, rdot, h, direction):
     """At a step-size floor: r falls and would reach 0 within 1000 steps of h."""
     rate = direction * rdot
     return rate < 0.0 and r <= 1000.0 * h * -rate
 
 
-def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
-    """`_core_integrate` of the reduced polar system on three float locals.
-
-    The right-hand side of (r, rdot, theta) is (rdot, -dU_dr(t, r), L3 r^-2),
-    with L3 = 0 giving theta' = 0.0.  It is inlined: the stage rdot is k_r
-    as it is, each stage makes one dU_dr call, and theta's stage sums are
-    left out, since no right-hand side reads theta.  Every other sum, the
-    error norm included, is `_core_integrate`'s, in tableau order from 0.0,
-    so until a collapse test below ends a run, its samples and counters are
-    bit-identical to `_core_integrate`'s on that right-hand side.
-
-    Stage radii are the family's to refuse: dU_dr raises DomainError
-    outside its domain (r <= 0 for a radial family), and the step is
-    retried shorter.  The kernel only decides radius collapse: with `guard`
-    set, the run ends with reason "radius_collapse" when r falls below
-    cfg.r_min, at a non-finite state, at a step-size floor reached while r
-    falls fast enough to reach 0 within 1000 steps, or at a sample below
-    r_min (found when `_DenseBlock` evaluates it, also after the stepper
-    went on past its step and raised).
-    """
-    c2, c3, c4, c5, c6 = _C[1:6]
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A[1:]
-    b1, b2, b3, b4, b5, b6 = _B
-    e1, e2, e3, e4, e5, e6, e7 = _E
+# the DP5(4) step control, written once; `_stepper` fills in one system's sums
+_STEPPER = '''\
+def {name}({params}t0, y0, t_end, cfg, sample_times):
     atol, rtol, h_max, max_steps, r_min = cfg.atol, cfg.rtol, cfg.h_max, cfg.max_steps, cfg.r_min
     isfinite = math.isfinite
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     t = t0
-    r, v, th = map(float, y0)
+    {y}, = map(float, y0)
     h = min(cfg.h_init, h_max, span) if span > 0 else cfg.h_init
-    # stage i: (r_i, v_i) the stage state, k_i = (v_i, f_i, w_i)
-    f1 = -dU_dr(t, r)
-    w1 = L3 * r**-2 if L3 else 0.0
+    {first}
     evals = 1
     accepted = rejected = retries = 0
     h_lo = h_hi = None
     err_prev = 1.0
-    dense = _DenseBlock(sample_times, (t0, 0.0, r, v, th), r_min if guard else None)
+    dense = _DenseBlock(sample_times, (t0, 0.0, {y}), {dense_r_min})
     si = dense.start
     nst = len(sample_times)
     grid_at = sample_times.item
@@ -320,75 +186,32 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
         while direction * (t_end - t) > 0.0:
             if accepted + rejected + retries >= max_steps:
                 raise StepLimitExceeded(
-                    f"no convergence within {max_steps} step attempts at t={t!r}")
+                    f"no convergence within {{max_steps}} step attempts at t={{t!r}}")
             h = min(h, h_max, abs(t_end - t))
             if h <= 1e-14 * max(1.0, abs(t)):
                 # non-extendable solution: a collision, or a singular profile
-                if guard and _collided(r, v, h, direction):
+                if {collided}:
                     term = "radius_collapse"
                     break
-                raise StepLimitExceeded(f"step size underflow at t={t!r}")
+                raise StepLimitExceeded(f"step size underflow at t={{t!r}}")
             hd = direction * h
             try:
-                evals += 1
-                r2 = r + hd * (0.0 + a21 * v)
-                v2 = v + hd * (0.0 + a21 * f1)
-                f2 = -dU_dr(t + c2 * hd, r2)
-                w2 = L3 * r2**-2 if L3 else 0.0
-                evals += 1
-                r3 = r + hd * (0.0 + a31 * v + a32 * v2)
-                v3 = v + hd * (0.0 + a31 * f1 + a32 * f2)
-                f3 = -dU_dr(t + c3 * hd, r3)
-                w3 = L3 * r3**-2 if L3 else 0.0
-                evals += 1
-                r4 = r + hd * (0.0 + a41 * v + a42 * v2 + a43 * v3)
-                v4 = v + hd * (0.0 + a41 * f1 + a42 * f2 + a43 * f3)
-                f4 = -dU_dr(t + c4 * hd, r4)
-                w4 = L3 * r4**-2 if L3 else 0.0
-                evals += 1
-                r5 = r + hd * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
-                v5 = v + hd * (0.0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
-                f5 = -dU_dr(t + c5 * hd, r5)
-                w5 = L3 * r5**-2 if L3 else 0.0
-                evals += 1
-                r6 = r + hd * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-                v6 = v + hd * (0.0 + a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
-                f6 = -dU_dr(t + c6 * hd, r6)
-                w6 = L3 * r6**-2 if L3 else 0.0
-                rn = r + hd * (0.0 + b1 * v + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
-                vn = v + hd * (0.0 + b1 * f1 + b2 * f2 + b3 * f3 + b4 * f4 + b5 * f5 + b6 * f6)
-                thn = th + hd * (0.0 + b1 * w1 + b2 * w2 + b3 * w3 + b4 * w4 + b5 * w5 + b6 * w6)
-                t_new = t + hd
-                evals += 1
-                f7 = -dU_dr(t_new, rn)
-                w7 = L3 * rn**-2 if L3 else 0.0
+                {stages}
             except DomainError:
                 # a stage left the admissible region; retry shorter
                 retries += 1
                 h *= 0.5
                 if h < 1e-12:
-                    if guard and _collided(r, v, h, direction):
+                    if {collided}:
                         term = "radius_collapse"
                         break
                     raise
                 continue
-            x, z = abs(r), abs(rn)
-            q1 = (hd * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * vn)
-                  / (atol + rtol * (x if x > z else z)))
-            x, z = abs(v), abs(vn)
-            q2 = (hd * (0.0 + e1 * f1 + e2 * f2 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6 + e7 * f7)
-                  / (atol + rtol * (x if x > z else z)))
-            x, z = abs(th), abs(thn)
-            q3 = (hd * (0.0 + e1 * w1 + e2 * w2 + e3 * w3 + e4 * w4 + e5 * w5 + e6 * w6 + e7 * w7)
-                  / (atol + rtol * (x if x > z else z)))
-            err = math.sqrt((0.0 + q1 * q1 + q2 * q2 + q3 * q3) / 3)
+            {norm}
+            err = math.sqrt(({sq}) / {n})
             if err > 1.0 or not isfinite(err):
-                if not isfinite(err):
-                    factor = _MIN_FACTOR
-                else:
-                    factor = max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA)
                 rejected += 1
-                h *= factor
+                h *= max(_MIN_FACTOR, _SAFETY * err ** -_ALPHA) if isfinite(err) else _MIN_FACTOR
                 continue
             accepted += 1
             h_lo = h if h_lo is None else min(h_lo, h)
@@ -401,18 +224,17 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
             if s_end > si:
                 si = s_end
                 hit = dense.record(si, (accepted, rejected, retries, evals, h_lo, h_hi),
-                                   (t, hd, h, r, v, th, v, f1, w1, v2, f2, w2, v3, f3, w3,
-                                    v4, f4, w4, v5, f5, w5, v6, f6, w6, vn, f7, w7))
+                                   (t, hd, h, {y}, {ks}))
                 if hit is not None:
                     break
-            if guard and (rn < r_min or not (isfinite(rn) and isfinite(vn) and isfinite(thn))):
+            if {collapsed}:
                 term = "radius_collapse"
                 break
             # PI step-size update
             err = max(err, 1e-10)  # keep the controller finite on exact hits
             factor = min(_MAX_FACTOR, _SAFETY * err ** -_ALPHA * err_prev ** _BETA)
             err_prev = err
-            t, r, v, th, f1, w1 = t_new, rn, vn, thn, f7, w7
+            {advance}
             h *= factor
     except Exception as e:  # raised after the flush below, unless a sample ends the run first
         failure = e
@@ -422,6 +244,97 @@ def _polar_kernel(dU_dr, L3, guard, t0, y0, t_end, cfg, sample_times):
     if failure is not None:
         raise failure
     return dense.filled(), term, IntegratorStats(accepted, rejected, retries, evals, h_lo, h_hi)
+'''
+
+
+def _stepper(name, params, n, stage, read=None, collapse=False):
+    """Compile `name(*params, t0, y0, t_end, cfg, sample_times)`, the DP5(4)
+    stepper of an n-component system, from the template above.
+
+    It integrates over [t0, t_end] (either direction) and returns the samples
+    at `sample_times` (a float64 array from t0 toward t_end) as one array of
+    rows t, h_accepted, y_0, ..., y_{n-1}, the termination reason and
+    IntegratorStats; `_DenseBlock` evaluates the samples of recorded steps.
+    The state is the locals s0 .. s{n-1}, and each weight is written as the
+    repr of its float.  `stage(i, t, s)` gives the source lines of stage
+    i = 1 .. 7 at time t and stage state s, and the names of its n
+    derivatives; stage sums are made only for the components in `read`.
+    With `collapse`, a run with `guard` set ends in "radius_collapse" (y_0
+    being the radius) below cfg.r_min, at a non-finite state, at a step-size
+    floor reached while the radius would reach 0 within 1000 steps, or at a
+    sample below r_min, also one found after the stepper went on and raised.
+    Any other failure is raised after the last dense flush.
+    """
+    rows = range(n)
+    read = rows if read is None else read
+
+    def states(i):  # the stage state of stage i: s at 1, the new state at 7
+        return [f"s{c}" if i == 1 else f"s{c}n" if i == 7 else f"s{c}_{i}" for c in rows]
+
+    def wsum(weights, c):
+        return " + ".join(["0.0", *(f"{w!r} * {k[c]}" for w, k in zip(weights, K))])
+
+    first, ks = stage(1, "t", states(1))
+    K, stages = [ks], []
+    for i in range(2, 8):
+        s = states(i)
+        stages.append("evals += 1")
+        stages += [f"{s[c]} = s{c} + hd * ({wsum(_A[i - 1] if i < 7 else _B, c)})"
+                   for c in (read if i < 7 else rows)]
+        if i == 7:
+            stages.append("t_new = t + hd")
+        lines, ks = stage(i, f"t + {_C[i - 1]!r} * hd" if i < 7 else "t_new", s)
+        stages += lines
+        K.append(ks)
+    norm = [line for c in rows for line in (
+        f"x, z = abs(s{c}), abs(s{c}n)",
+        f"q{c} = hd * ({wsum(_E, c)}) / (atol + rtol * (x if x > z else z))")]
+    # carry the new state and its stage into the next step (a derivative
+    # that is a state component moves with it)
+    advance = dict(zip(["t", *states(1), *K[0]], ["t_new", *states(7), *K[6]]))
+    new = " and ".join(f"isfinite({v})" for v in states(7))
+    src = _STEPPER.format(
+        name=name, params=params, n=n, y=", ".join(states(1)), first="\n    ".join(first),
+        dense_r_min="r_min if guard else None" if collapse else "None",
+        collided=f"guard and _collided(s0, {K[0][0]}, h, direction)" if collapse else "False",
+        collapsed=f"guard and (s0n < r_min or not ({new}))" if collapse else "False",
+        stages="\n                ".join(stages), norm="\n            ".join(norm),
+        sq=" + ".join(["0.0", *(f"q{c} * q{c}" for c in rows)]),
+        ks=", ".join(k for ks in K for k in ks),
+        advance=f"{', '.join(advance)} = {', '.join(advance.values())}")
+    scope = {}
+    exec(compile(src, f"<{name}>", "exec"), globals(), scope)
+    return scope[name]
+
+
+def _polar_stage(i, t, s):
+    """(r, rdot, theta)' = (rdot, -dU_dr(t, r), L3 r^-2), with theta' = 0.0
+    when L3 = 0: k_r is the stage rdot as it is, one dU_dr call per stage."""
+    return [f"k1_{i} = -dU_dr({t}, {s[0]})",
+            f"k2_{i} = L3 * {s[0]}**-2 if L3 else 0.0"], [s[1], f"k1_{i}", f"k2_{i}"]
+
+
+# `integrate`'s kernel: theta has no stage sums, since no right-hand side
+# reads it.  Stage radii are the family's to refuse: dU_dr raises
+# DomainError outside its domain (r <= 0 for a radial family, whose
+# `radial` is the guard), and the step is retried shorter.
+_polar_kernel = _stepper("_polar_kernel", "dU_dr, L3, guard, ", 3, _polar_stage,
+                         read=(0, 1), collapse=True)
+
+
+@functools.cache
+def _generic_stepper(n):
+    def stage(i, t, s):
+        ks = [f"k{c}_{i}" for c in range(n)]
+        return [f"{', '.join(ks)}, = rhs({t}, [{', '.join(s)}])"], ks
+    return _stepper("_core_integrate", "rhs, ", n, stage)
+
+
+def _core_integrate(rhs, t0, y0, t_end, cfg, sample_times):
+    """The stepper of the n = len(y0) component system y' = rhs(t, y), with
+    y a list of floats and rhs returning n values; it ends only with
+    "completed" or by raising."""
+    return _generic_stepper(len(y0))(rhs, t0, y0, t_end, cfg, sample_times)
 
 
 _BLOCK = 1024  # dense samples evaluated in one numpy pass, CSV rows formatted in one pass

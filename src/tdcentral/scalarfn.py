@@ -480,15 +480,18 @@ class Antiderivative(ScalarFn):
     point's panel and sums that panel's Chebyshev series by one Clenshaw
     pass, for a float and an ndarray alike.  The panel widths grow
     geometrically where the integrand is smooth, so the cost of reaching
-    |t - t0| grows with the number of panels, not with |t - t0|.  F(t0) is
-    exactly 0.  A DomainError or ToleranceNotMet that stops the fill before
-    t is raised again for every later t beyond that point.
+    |t - t0| grows with the number of panels, not with |t - t0|.  t0 must
+    be finite, and F(t0) is exactly 0.  A DomainError or ToleranceNotMet
+    that stops the fill before t is raised again for every later t beyond
+    that point.
     """
 
     integrand: ScalarFn
     t0: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.t0):
+            raise DomainError(f"non-finite lower limit {self.t0!r} of an integral")
         object.__setattr__(self, "_table", _PanelTable(self.integrand, self.t0))
 
     def _eval(self, t):

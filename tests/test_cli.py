@@ -596,6 +596,30 @@ class TestRunFailures:
         assert rc == 2 and out == ""
         assert err == f"config error: {where}: key {key!r}: a constant beyond the double range\n"
 
+    @pytest.mark.parametrize("argv,family,key,message", [
+        (["simulate"], {"g1": "1", "g2": "(pow 0 -1)"},
+         "g2", "zero base under negative exponent"),
+        (["simulate"], {"g1": "(pow -3 0.5)"},
+         "g1", "constant base -3.0 invalid under exponent 0.5"),
+        (["simulate"], {"g1": "(exp (* (exp (sqrt 1e200))))"},
+         "g1", "a constant beyond the double range"),
+        *((argv, {"g1": "(poly 1 0 0.25)", "g2": f"(+ 1 (integral 1 {t0}))", "F": "(pow t 2)"},
+           "g2", f"non-finite lower limit {t0} of an integral")
+          for argv, t0 in ((["simulate"], "nan"), (["simulate"], "inf"),
+                           (["simulate"], "-inf"), (["verify", "--suite", "pde"], "nan"))),
+    ], ids=["pow-0--1", "pow--3-0.5", "exp-overflow", "integral-from-nan",
+            "integral-from-inf", "integral-from--inf", "pde-integral-from-nan"])
+    def test_profile_text_fault_names_its_key(self, tmp_path, capsys, argv, family, key,
+                                              message):
+        # a constant that folds outside its domain while the text is parsed,
+        # or an integral from a non-finite lower limit, is the key's fault
+        fam = {"kind": "quadratic", **family}
+        cfg = oscillator_config(t_end=1, family=fam) if argv == ["simulate"] else {"family": fam}
+        rc = main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == f"config error: config.family: key {key!r}: {message}\n"
+
 
 class TestListPresets:
     def test_text_catalog(self, capsys):

@@ -759,6 +759,21 @@ class TestUnrolledStepper:
         self.assert_same_run(monkeypatch, "_polar_kernel", _reference_kernel, run)
         self.assert_same_run(monkeypatch, "_core_integrate", _dot_reference_core, run)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("t_end", [4.0, -4.0])
+    def test_generic_stepper_any_n(self, n, t_end):
+        # the generic stepper is emitted once per n: a coupled, driven linear
+        # system, with a long first step so that some steps are rejected
+        def rhs(t, y):
+            return [-0.5 * y[c] + 0.8 * y[(c + 1) % n] - 0.3 * c * y[c - 1] + math.cos(5.0 * t + c)
+                    for c in range(n)]
+        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, h_init=0.5)
+        y0 = tuple(1.0 - 0.25 * c for c in range(n))
+        runs = [core(rhs, 0.0, y0, t_end, cfg, dyn._sample_grid(0.0, t_end, cfg.stride))
+                for core in (dyn._core_integrate, _dot_reference_core)]
+        assert _run_key(runs[0]) == _run_key(runs[1])
+        assert runs[0][0].shape == (n + 2, 401) and runs[0][2].rejected > 0
+
     def test_signed_zero_components_kept(self):
         # a component that stays a signed zero and steers another: each sum
         # must start from 0.0 as the _dot loop did, or the zero's sign flips

@@ -271,6 +271,16 @@ class TestAntiderivative:
             with pytest.raises(ToleranceNotMet):
                 F(t0 + 1.0)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lower_limit_raises(self, t0):
+        # the node refuses it, built by antiderivative or parsed; a zero
+        # integrand still folds to 0 before any node is built
+        with pytest.raises(DomainError, match="non-finite lower limit"):
+            sf.antiderivative(sf.T, t0)
+        with pytest.raises(DomainError, match="non-finite lower limit"):
+            sf.parse(f"(+ 1 (integral 1 {t0!r}))")
+        assert sf.antiderivative(0.0, t0) == sf.const(0.0)
+
     def test_history_independence(self):
         f = sf.sqrt(sf.poly(1, 0, 1))
         pts = [3.9, 0.2, -1.7, 2.2, 0.9]
