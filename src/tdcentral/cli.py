@@ -170,13 +170,17 @@ def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be an object")
     _only(node, ("t", "r", "rdot", "theta"), where)
-    try:
-        return dyn.PolarState(_get(node, "t", float, 0.0, where),
-                              _get(node, "r", float, where=where),
-                              _get(node, "rdot", float, where=where),
-                              _get(node, "theta", float, 0.0, where))
-    except DomainError as e:
-        raise ConfigError(f"{where}: {e}") from e
+    return dyn.PolarState(_get(node, "t", float, 0.0, where),
+                          _get(node, "r", float, where=where),
+                          _get(node, "rdot", float, where=where),
+                          _get(node, "theta", float, 0.0, where))
+
+
+def _start(fam, s0: dyn.PolarState, where: str) -> None:
+    """Refuse, naming key 'r', a start that a radial family refuses: r <= 0;
+    the coordinate of a one-dimensional system takes either sign."""
+    if fam.radial and s0.r <= 0.0:
+        raise ConfigError(f"{where}: key 'r' must be positive")
 
 
 def _horizon(t0: float, t_end: float, icfg, keys: str) -> None:
@@ -261,9 +265,9 @@ def _default_rescaling_cases():
 def _default_orbit_cases():
     initial = {"t": 0.0, "r": 1.2, "rdot": 0.2, "theta": 0.1}
     return [{"name": "static-scale", "phi": "1", "k": 1.0, "L3": 0.5,
-             "initial": initial, "t_end": 1.5, "tolerance": 1e-7},
+             "initial": initial, "t_end": 1.5, "tolerance": vf._ORBIT_TOL},
             {"name": "growing-scale", "phi": "(sqrt (poly 1 0 1))", "k": 1.0,
-             "L3": 0.5, "initial": initial, "t_end": 6.0, "tolerance": 1e-7}]
+             "L3": 0.5, "initial": initial, "t_end": 6.0, "tolerance": vf._ORBIT_TOL}]
 
 
 def _default_driven_1d():
@@ -276,20 +280,30 @@ def _default_driven_1d():
 
 
 def _sweep_inputs(cfg, seed):
-    """The configured family and plan of the verify sweeps, which share them."""
+    """The family and plan that the verify sweeps share, and the keys of the
+    integral in the family's shape argument: (1/2) int_{t0}^{t} g1^-3/2 g2
+    over t in t_range.  The sweeps read the profiles g1 and g2 of a linear
+    or quadratic family."""
     plan = _plan_from(cfg.get("plan"), seed)
-    fam = _family_from(cfg["family"], plan.t_range) if "family" in cfg else _default_family()
-    return fam, plan
+    keys = "config.plan: key 't_range'"
+    if "family" not in cfg:
+        return _default_family(), plan, keys
+    fam = _family_from(cfg["family"], plan.t_range)
+    if fam.kind not in (pot.FamilyA.kind, pot.FamilyB.kind):
+        key = "preset" if "preset" in cfg["family"] else "kind"
+        raise ConfigError(f"config.family: key {key!r}: the pde and noether sweeps need a "
+                          f"linear or quadratic family, not {cfg['family'][key]!r}")
+    return fam, plan, f"{keys}, config.family: keys 'g1', 'g2', 't0'"
 
 
-def _sweep(check, fam, plan):
+def _sweep(check, fam, plan, keys):
     """The verify sweep `check` on fam and plan; a shape argument whose
-    profile integral cannot be filled on t_range names it."""
+    profile integral cannot be filled on t_range names `keys`."""
     try:
         with np.errstate(all="ignore"):  # an inf or nan residual fails its check
             return check(fam, plan)
     except ToleranceNotMet as e:
-        raise ConfigError(f"config.plan: key 't_range': {e}") from e
+        raise ConfigError(f"{keys}: {e}") from e
 
 
 def _section(cfg: dict, name: str, keys) -> dict:
@@ -326,7 +340,7 @@ def _suite_rescaling(cfg, seed):
                                               _get(case, "L3", float, 0.0, where))
         except InvalidParameters as e:
             raise ConfigError(f"{where}: key 'phi': {e}") from e
-        checks[f"rescaling-{i}"] = vf.check(diff, 1e-12)
+        checks[f"rescaling-{i}"] = vf.check(diff, vf._RESCALING_TOL)
     return vf.VerificationReport(checks)
 
 
@@ -341,8 +355,8 @@ def _suite_closed_form(cfg, seed):
     kc = pot.preset("generalized-kepler", nu=1.0, k=1.0, b0=1.0, L3=1.0).family
     ecc = dyn.integrate(kc, dyn.PolarState(0.0, 1.4, 0.0, 0.2), 6.0)
     return vf.VerificationReport({
-        "radius-form": vf.check(radius_dev, 1e-6),
-        "angle-form": vf.check(vf.closed_form_theta(ecc, 1.0), 1e-7),
+        "radius-form": vf.check(radius_dev, vf._RADIUS_FORM_TOL),
+        "angle-form": vf.check(vf.closed_form_theta(ecc, 1.0), vf._ANGLE_FORM_TOL),
     })
 
 
@@ -378,8 +392,9 @@ def _suite_orbit(cfg, seed):
         _horizon(s0.t, t_end, None, f"{where}: key 't_end', {where}.initial: key 't'")
         fam = _family_from({"preset": "scaled-kepler", "params": {"phi": phi, "k": k, "L3": L3}},
                            (s0.t, t_end), where)
+        _start(fam, s0, where + ".initial")
         traj = dyn.integrate(fam, s0, t_end)
-        tol = _get(case, "tolerance", float, 1e-7, where)
+        tol = _get(case, "tolerance", float, vf._ORBIT_TOL, where)
         checks[f"orbit-{name}"] = vf.check(vf.orbit_angle_check(phi, k, L3, traj), tol)
     return vf.VerificationReport(checks)
 
@@ -430,8 +445,8 @@ def _suite_radial_mode(cfg, seed):
     mod_dev = abs(abs(qm.wavefunction(ground, 1.0, 0.4, 0.7))
                   - math.exp(-0.5))
     return vf.VerificationReport({
-        "mode-residual": vf.check(list(by_b.values()), 1e-9),
-        "mode-modulus": vf.check(mod_dev, 1e-12),
+        "mode-residual": vf.check(list(by_b.values()), vf._MODE_RESIDUAL_TOL),
+        "mode-modulus": vf.check(mod_dev, vf._MODE_MODULUS_TOL),
     })
 
 
@@ -471,7 +486,8 @@ def cmd_simulate(args) -> int:
     _horizon(s0.t, t_end, icfg, "config: key 't_end', config.initial: key 't', "
                                 "config.integrator: key 'stride'")
     fam = _family_from(_get(cfg, "family", dict), (s0.t, t_end))
-    tol = _get(cfg, "drift_tolerance", float, 1e-7)
+    _start(fam, s0, "config.initial")
+    tol = _get(cfg, "drift_tolerance", float, vf._DRIFT_TOL)
     traj = dyn.integrate(fam, s0, t_end, icfg)
     invariant = fi.first_integral(fam)
     drift = dyn.drift_report(traj, invariant)
@@ -482,7 +498,7 @@ def cmd_simulate(args) -> int:
                "integrator": dataclasses.asdict(traj.stats), "pass": ok}
     _emit(args, "drift.json", vf.dumps(payload) + "\n")  # makes the --out directory
     if args.out:
-        traj.to_csv(Path(args.out) / "trajectory.csv")
+        dyn.write_csv(traj, Path(args.out) / "trajectory.csv")
     return 0 if ok else 1
 
 
@@ -492,7 +508,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _only(cfg, ("family", "plan", "rescaling", "orbit", "ermakov", "radial-mode"), "config")
     names = [*_SWEEPS, *_SUITES] if args.suite == "all" else [args.suite]
-    sweep = None  # the sweeps' family and plan: one family per run
+    sweep = None  # the sweeps' family, plan and keys: one family per run
     report = None
     for name in names:
         if name in _SWEEPS:
@@ -572,7 +588,7 @@ def cmd_binary(args) -> int:
         raise ConfigError("config: key 'b' must be [b0, b1, b2]")
     r0 = _get(cfg, "r0", float, 1.0, where)
     periods = _get(cfg, "periods", float, 10.0, where)
-    tol = _get(cfg, "tolerance", float, 1e-9, where)
+    tol = _get(cfg, "tolerance", float, vf._BINARY_TOL, where)
     for key, value in (("G", G), ("r0", r0)):
         if not value > 0.0:
             raise ConfigError(f"config: key {key!r} must be positive")

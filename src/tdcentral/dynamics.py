@@ -7,9 +7,13 @@ embedded pair with PI step-size control, FSAL, and the standard quartic
 dense-output interpolant, so trajectories are sampled on a fixed stride
 without constraining the step sequence.  The family knows its domain:
 its dU_dr (and dV_dr) refuses r <= 0 with a DomainError, and the stepper
-retries such a step shorter.  The stepper itself makes no radius test
-before a right-hand side; it only decides radius collapse (r < r_min),
-which terminates the trajectory with a recorded reason instead of raising.
+retries such a step shorter.  A PolarState is four floats and tests none:
+a radial family refuses a start at r <= 0 at its first stage, which
+`integrate` raises, and the coordinate of a one-dimensional system
+(radial = False) takes either sign.  The stepper itself makes no radius
+test before a right-hand side; it only decides radius collapse
+(r < r_min), which terminates the trajectory with a recorded reason
+instead of raising.
 
 The stepper's source is written once, as a template, and compiled per
 system into unrolled Python-float code: every stage, solution and error
@@ -85,10 +89,6 @@ class PolarState:
     rdot: float
     theta: float = 0.0
 
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise DomainError("polar state requires r > 0")
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -138,13 +138,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def state(self, i: int) -> PolarState:
-        return PolarState(float(self.t[i]), float(self.r[i]),
-                          float(self.rdot[i]), float(self.theta[i]))
-
-    def to_csv(self, path):
-        write_csv(self, path)
 
 
 @dataclass(frozen=True)
@@ -446,8 +439,9 @@ def check_horizon(t0: float, t_end: float, stride: float) -> None:
 
 def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Propagate (r, rdot, theta) from s0 to t_end on the family's dynamics.
-    The family's dU_dr refuses r <= 0 (a stage retried shorter); the kernel
-    only decides radius collapse, the termination "radius_collapse"."""
+    The family's dU_dr refuses r <= 0 (a stage retried shorter, a start
+    raised as DomainError); the kernel only decides radius collapse, the
+    termination "radius_collapse"."""
     if cfg is None:
         cfg = IntegratorConfig()
     check_horizon(s0.t, t_end, cfg.stride)

@@ -27,7 +27,8 @@ with C = 0 for the linear family.  Each family hands its trees A, B, C, P,
 Q and shape F to `_CentralFamily`, the one place that evaluates U, V and
 the exact partials the residual checks and the integrator need.  Each
 family also carries its invariant `fi(t, r, rdot)` and, for the two
-central families, the auxiliary function K(t,r) with its partials.  All
+central families, the partials dK_dr and dK_dt of the auxiliary function
+K(t,r) that the residual and Noether checks read.  All
 time profiles are ScalarFn trees, so every partial is evaluated from an
 exact derivative tree rather than finite differences.  dU_dr, the
 integrator's right-hand side, is one compiled function of (t, r) per
@@ -35,7 +36,10 @@ family, with the subtrees its five coefficient trees share computed once.
 
 A family exists only where its defining profile is regular (g2 != 0,
 g1 > 0, rho > 0); `fam.check_span(lo, hi)` raises InvalidParameters when
-that fails on the closed span a caller integrates or samples.
+that fails on the closed span a caller integrates or samples.  The family
+is also the only radius check: a radial family (FamilyA, FamilyB) refuses
+r <= 0 with a DomainError in U, dU_dr and the second partials, while the
+coordinate q of LewisLeach1d (radial = False) takes either sign.
 
 `preset(name, ...)` builds the named physical instances (oscillator,
 generalized Kepler, shrinking/expanding Kepler orbit family, variable-mass
@@ -254,9 +258,6 @@ class FamilyA(_CentralFamily):
         """Linear invariant of the g2/g family."""
         return self.g2(t) * rdot - self.g2_d(t) * r + self.g(t)
 
-    def K(self, t, r):
-        return -self.g2_d(t) * r + self.g(t)
-
     def dK_dr(self, t, r):
         return -self.g2_d(t) + 0.0 * r
 
@@ -305,10 +306,6 @@ class FamilyB(_CentralFamily):
         w = self.g1_d(t) * r - self.g2(t)
         return (g1 * rdot * rdot + (self.g2(t) - self.g1_d(t) * r) * rdot
                 + self.F(self.arg(t, r)) + w * w / (4.0 * g1))
-
-    def K(self, t, r):
-        w = self.g1_d(t) * r - self.g2(t)
-        return self.F(self.arg(t, r)) + w * w / (4.0 * self.g1(t))
 
     def dK_dr(self, t, r):
         w = self.g1_d(t) * r - self.g2(t)

@@ -109,7 +109,7 @@ class WavefunctionParams:
 
     @functools.cached_property
     def _T(self) -> ScalarFn:
-        return sf.antiderivative(self.phi**-2, self.t0)
+        return sf.antiderivative(sf.power(self.phi, -2), self.t0)
 
     @property
     def lam(self) -> float:

@@ -16,10 +16,11 @@ with a number, and again with an array, a node compiles its tree into
 straight-line Python code (``_Compiler``) and keeps it, as ``.d()`` keeps
 its tree; a constant keeps a function returning its value instead.  The
 two versions differ only in ``exp`` and in reducing each domain test over
-the array.  Trees are immutable; building functions goes
-through the folding constructors (``add``, ``mul``, ``div``, ...) which
-collapse constants and keep a canonical shape, so structural equality is
-usable in tests.
+the array.  Trees are immutable and are built only by the folding
+constructors (``add``, ``mul``, ``div``, ``power``, ...), which collapse
+constants and keep a canonical shape, so structural equality is usable in
+tests, and by ``parse``, which calls them; nodes have no arithmetic
+operators.
 
 Domains are explicit: Quotient and Power carry an optional open interval
 for their *input value*; evaluation outside it, or at a zero denominator
@@ -76,8 +77,6 @@ def _fmt(c: float) -> str:
 class ScalarFn:
     """Base class for expression nodes. Instances are immutable."""
 
-    __array_ufunc__ = None  # keep ndarray ops from swallowing our overloads
-
     def _eval(self, t):
         """Value of a node compiled code cannot inline (Antiderivative, subclasses)."""
         raise NotImplementedError
@@ -127,38 +126,6 @@ class ScalarFn:
 
     def __repr__(self):
         return to_text(self)
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, as_fn(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, as_fn(other))
-
-    def __rsub__(self, other):
-        return sub(as_fn(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_fn(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_fn(other))
-
-    def __rtruediv__(self, other):
-        return div(as_fn(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        if not _is_number(p):
-            return NotImplemented
-        return power(self, float(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -864,11 +831,10 @@ def to_text(f: ScalarFn) -> str:
     return f"({head} " + " ".join([*map(to_text, f._children()), *map(_fmt, numbers)]) + ")"
 
 
-def parse(text: str, params: dict | None = None) -> ScalarFn:
-    """Parse the s-expression form. `params` maps bare symbols to numbers.
+def parse(text: str) -> ScalarFn:
+    """Parse the s-expression form.
 
-    Heads: the keys of _HEADS; atoms: numbers, `t`, `inf`, `-inf`, and
-    names bound in params.
+    Heads: the keys of _HEADS; atoms: numbers, `t`, `inf` and `-inf`.
     """
     toks = _TOKEN.findall(text)[::-1]  # a stack: the next token is last
     if not toks:
@@ -907,9 +873,7 @@ def parse(text: str, params: dict | None = None) -> ScalarFn:
         try:
             return Const(float(tok))
         except ValueError:
-            if params is not None and tok in params:
-                return Const(float(params[tok]))
-        raise ParseError(f"unknown symbol {tok!r}")
+            raise ParseError(f"unknown symbol {tok!r}") from None
 
     out = expr()
     if toks:

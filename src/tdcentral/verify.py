@@ -108,8 +108,16 @@ class VerificationReport:
 _PDE_TOL = 1e-9
 _NOETHER_CONFIG_TOL = 1e-9
 _NOETHER_VELOCITY_TOL = 1e-13
-_DRIFT_TOL = 1e-7
+_DRIFT_TOL = 1e-7  # also simulate's default drift_tolerance
 _PROFILE_TOL = 1e-10
+# tolerances of the checks the CLI builds from its own runs and grids
+_RESCALING_TOL = 1e-12
+_RADIUS_FORM_TOL = 1e-6
+_ANGLE_FORM_TOL = 1e-7
+_ORBIT_TOL = 1e-7  # an orbit case's default tolerance
+_MODE_RESIDUAL_TOL = 1e-9
+_MODE_MODULUS_TOL = 1e-12
+_BINARY_TOL = 1e-9  # binary's default tolerance
 
 
 def check(values, tol, required=True) -> CheckResult:
@@ -342,7 +350,7 @@ class PerturbedPotential(_CentralFamily):
 
 class MismatchedShapeFamily(FamilyB):
     """Negative control: rescales the shape argument on the invariant side
-    only (K and its partials), leaving the potential of `fam` untouched."""
+    only (the partials of K), leaving the potential of `fam` untouched."""
 
     def __init__(self, fam: FamilyB, scale: float = 1.01):
         super().__init__(fam.g1, fam.g2, sf.compose(fam.F, sf.poly(0.0, scale)),

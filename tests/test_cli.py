@@ -708,6 +708,35 @@ class TestSimulate:
         assert "config: key 't_end'" in err and "Traceback" not in err
 
 
+class TestStartRadius:
+    """A radial family refuses a start at r <= 0, named as key 'r'; the
+    coordinate of the driven 1d system takes either sign."""
+
+    @pytest.mark.parametrize("r", [0.0, -1.5])
+    @pytest.mark.parametrize("argv,config,where", [
+        (["simulate"], lambda s0: oscillator_config(initial=s0), "config.initial"),
+        (["verify", "--suite", "orbit"],
+         lambda s0: {"orbit": {"cases": [{**_ORBIT, "initial": s0}]}},
+         "config.orbit.cases[0].initial"),
+    ], ids=["simulate", "orbit"])
+    def test_radial_start_names_r(self, tmp_path, capsys, argv, config, where, r):
+        path = write_config(tmp_path, config({"t": 0.0, "r": r, "rdot": 0.2}))
+        assert main([*argv, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {where}: key 'r' must be positive\n"
+
+    @pytest.mark.parametrize("argv,config", [
+        (["simulate"], lambda s0: {"family": cli._default_driven_1d()["system"],
+                                   "initial": s0, "t_end": 5.0}),
+        (["verify", "--suite", "ermakov"], lambda s0: {"ermakov": {"initial": s0}}),
+    ], ids=["simulate", "ermakov"])
+    def test_driven_1d_start_takes_either_sign(self, tmp_path, capsys, argv, config):
+        # exit 0: the invariant drift of the run passes its tolerance
+        path = write_config(tmp_path, config({"t": 0.0, "r": -1.5, "rdot": 0.2}))
+        assert main([*argv, "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestVerify:
     def test_pde_suite(self, capsys):
         assert main(["verify", "--suite", "pde"]) == 0
@@ -765,6 +794,22 @@ class TestVerify:
             monkeypatch.setattr(cli.vf, name, spy)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         assert len(swept) == 2 and swept[0][0] is swept[1][0] and swept[0][1] == swept[1][1]
+
+    @pytest.mark.parametrize("suite", ["pde", "noether", "all"])
+    @pytest.mark.parametrize("family,key", [
+        ({"kind": "driven-1d", "rho": "1"}, "kind"),
+        ({"kind": "driven-1d", "rho": "1", "perturb": 1e-3}, "kind"),
+        ({"preset": "lewis-leach"}, "preset"),
+        ({"preset": "lewis-leach", "perturb": 1e-3}, "preset"),
+    ], ids=["driven-1d", "driven-1d-perturbed", "lewis-leach", "lewis-leach-perturbed"])
+    def test_sweeps_refuse_driven_1d(self, tmp_path, capsys, suite, family, key):
+        # the sweeps read g1 and g2, which a driven 1d family does not have
+        path = write_config(tmp_path, {"family": family})
+        assert main(["verify", "--suite", suite, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"config error: config.family: key {key!r}: the pde and noether sweeps need a "
+            f"linear or quadratic family, not {family[key]!r}\n")
 
 
 class TestOrbit:
@@ -961,10 +1006,19 @@ def _targets():
     for kind, family in _INLINE.items():
         out[f"kind-{kind}"] = (["simulate"], _simulate(family), ("family",),
                                "config.family", list(family) + ["perturb"])
+        out[f"pde-kind-{kind}"] = (["verify", "--suite", "pde"], {"family": family},
+                                   ("family",), "config.family", list(family) + ["perturb"])
+    for name, _ in pot.catalog():
+        out[f"pde-preset-{name}"] = (["verify", "--suite", "pde"], {"family": {"preset": name}},
+                                     ("family",), "config.family",
+                                     ["preset", "params", "perturb"])
     return out
 
 
 _TARGETS = _targets()
+# sweep targets whose family the sweeps refuse: every change exits 2, naming
+# the changed key or, when the family is built, the key that picks it
+_NOT_SWEPT = {"pde-kind-driven-1d": "kind", "pde-preset-lewis-leach": "preset"}
 # the verify subcommand runs the one suite that reads the changed top-level key
 _SUITE_OF = {"family": "pde", "plan": "pde", "rescaling": "rescaling", "orbit": "orbit",
              "ermakov": "ermakov", "radial-mode": "radial-mode"}
@@ -1002,15 +1056,18 @@ def _names(err, where, key):
         f"{where}.{key}" in err or f"{where}: " in err and word.search(err) is not None)
 
 
-def assert_exit_contract(argv, cfg, where, key):
+def assert_exit_contract(argv, cfg, where, key, refused=None):
+    """`refused`: the key of a family that the command refuses, so that the
+    run exits 2 naming it unless the changed key faults first."""
     start = time.perf_counter()
     rc, err = _run_cli(argv, cfg)
     assert time.perf_counter() - start < 5.0
     assert rc in (0, 1, 2) and "Traceback" not in err
+    assert refused is None or rc == 2, err
     if rc == 1:  # a failed check says nothing; a run that stopped says why
         assert err == "" or err.startswith(("run failed: ", "verification failed: ")), err
     if rc == 2:  # only the changed key can be at fault, and the message names it
-        assert key is not None and _names(err, where, key), err
+        assert any(k is not None and _names(err, where, k) for k in (key, refused)), err
 
 
 def _heavy(name, cfg):
@@ -1063,6 +1120,18 @@ _PLUNGE = {**_simulate({"preset": "generalized-kepler",
 # a collision with a tiny r_min, and a step bound that cannot reach t_end
 @example(("simulate", _PLUNGE, None, None))
 @example(("integrator", None, "h_max", 1e-6))
+# the sweeps of a driven 1d family ended in a traceback reading g1
+@example(("verify", None, "family", {"kind": "driven-1d", "rho": "1"}))
+@example(("verify", None, "family", {"kind": "driven-1d", "rho": "1", "perturb": 1e-3}))
+@example(("verify", None, "family", {"preset": "lewis-leach"}))
+@example(("verify", None, "family", {"preset": "lewis-leach", "perturb": 1e-3}))
+@example(("pde-kind-driven-1d", None, None, None))
+# a shape-argument integral that cannot be filled: the family keys are named
+# beside t_range
+@example(("pde-kind-quadratic", None, "t0", 4.017345110647476e+59))
+@example(("pde-kind-quadratic", None, "g2", "(exp (poly 0 800))"))
+# the 1d coordinate takes either sign
+@example(("ermakov-initial", None, "r", -1.5))
 def test_one_changed_key_keeps_exit_contract(change):
     name, obj, key, value = change
     argv, cfg, path, where, _ = copy.deepcopy(_TARGETS[name])
@@ -1080,7 +1149,7 @@ def test_one_changed_key_keeps_exit_contract(change):
     if argv == ["verify"]:
         argv = ["verify", "--suite", _SUITE_OF.get(key, "pde")]
     assume(not _heavy(name, cfg))
-    assert_exit_contract(argv, cfg, where, key)
+    assert_exit_contract(argv, cfg, where, key, _NOT_SWEPT.get(name))
 
 
 @settings(max_examples=50, deadline=None)

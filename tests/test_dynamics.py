@@ -37,8 +37,17 @@ def eccentric_kepler():
 
 class TestStates:
     def test_radius_must_be_positive(self):
-        with pytest.raises(DomainError):
-            PolarState(0.0, -1.0, 0.0)
+        # the state holds four floats; a radial family refuses r <= 0 at the
+        # first stage, and the coordinate of the 1d system takes either sign
+        for r in (0.0, -0.0, -1.0):
+            s0 = PolarState(0.0, r, 0.0)
+            with pytest.raises(DomainError, match="radius must be positive"):
+                dyn.integrate(FamilyA(1.0, 0.0, 0.0), s0, 1.0)
+            with pytest.raises(DomainError, match="radius must be positive"):
+                dyn.integrate(cross_profile_family(), s0, 1.0)
+        driven = _family_from(_default_driven_1d()["system"], (0.0, 1.0))
+        traj = dyn.integrate(driven, PolarState(0.0, -1.5, 0.2), 1.0)
+        assert traj.termination == "completed" and traj.r[0] == -1.5
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -194,8 +203,7 @@ class TestIntegrate:
         fam = FamilyA(1.0, 0.0, 0.0)
         traj = dyn.integrate(fam, PolarState(0.0, 1.0, 1.0), 1.0)
         assert len(traj) == len(traj.t)
-        st = traj.state(0)
-        assert (st.t, st.r, st.rdot) == (0.0, 1.0, 1.0)
+        assert (traj.t[0], traj.r[0], traj.rdot[0], traj.theta[0]) == (0.0, 1.0, 1.0, 0.0)
 
 
 class TestCartesianCrosscheck:
@@ -269,7 +277,7 @@ class TestCsv:
         fam = cross_profile_family()
         traj = dyn.integrate(fam, PolarState(0.0, 1.2, 0.1), 0.5)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path)
+        dyn.write_csv(traj, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "r", "rdot", "theta", "h_accepted"]
