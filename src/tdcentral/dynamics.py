@@ -429,7 +429,8 @@ def _sample_grid(t0: float, t_end: float, stride: float) -> np.ndarray:
 
 def check_horizon(t0: float, t_end: float, stride: float) -> None:
     """Raise ValueError unless 0 < |t_end - t0| <= MAX_SAMPLES * stride (NaN
-    and infinite spans fail); `integrate` checks it before listing samples."""
+    and infinite spans fail); `integrate` checks it before listing samples,
+    after refusing a non-finite t0 with DomainError."""
     if t_end == t0:
         raise ValueError("t_end must differ from the initial time")
     if not abs(t_end - t0) <= MAX_SAMPLES * stride:
@@ -441,7 +442,10 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
     """Propagate (r, rdot, theta) from s0 to t_end on the family's dynamics.
     The family's dU_dr refuses r <= 0 (a stage retried shorter, a start
     raised as DomainError); the kernel only decides radius collapse, the
-    termination "radius_collapse"."""
+    termination "radius_collapse".  A non-finite start raises DomainError."""
+    for name in ("t", "r", "rdot", "theta"):
+        if not math.isfinite(getattr(s0, name)):
+            raise DomainError(f"initial {name} must be finite, is {getattr(s0, name)!r}")
     if cfg is None:
         cfg = IntegratorConfig()
     check_horizon(s0.t, t_end, cfg.stride)

@@ -36,10 +36,12 @@ family, with the subtrees its five coefficient trees share computed once.
 
 A family exists only where its defining profile is regular (g2 != 0,
 g1 > 0, rho > 0); `fam.check_span(lo, hi)` raises InvalidParameters when
-that fails on the closed span a caller integrates or samples.  The family
-is also the only radius check: a radial family (FamilyA, FamilyB) refuses
-r <= 0 with a DomainError in U, dU_dr and the second partials, while the
-coordinate q of LewisLeach1d (radial = False) takes either sign.
+that fails on the closed span a caller integrates or samples (a dip to
+zero narrower than `check_profile`'s first node spacing can be missed).
+The family is also the only radius check: a radial family (FamilyA,
+FamilyB) refuses r <= 0 with a DomainError in U, dU_dr and the second
+partials, while the coordinate q of LewisLeach1d (radial = False) takes
+either sign.
 
 `preset(name, ...)` builds the named physical instances (oscillator,
 generalized Kepler, shrinking/expanding Kepler orbit family, variable-mass
@@ -54,10 +56,9 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import scalarfn as sf
 from .errors import DomainError, InvalidParameters, UnknownPreset
@@ -71,63 +72,62 @@ __all__ = [
 ]
 
 _U = sf.T  # shape functions are trees over their own single argument
-
-
-_MAX_DEGREE = 32  # a larger polynomial takes the sampled test
-
-
-def _coeffs(f: ScalarFn):
-    """Coefficients of f, lowest order first, when f is a polynomial in t of
-    degree at most _MAX_DEGREE with finite coefficients: constants, t and
-    Poly nodes joined by sums, products and integer powers; otherwise None."""
-    if isinstance(f, sf.Const):
-        c = [f.value]
-    elif isinstance(f, (sf.Var, sf.Poly)):
-        c = getattr(f, "coeffs", [0.0, 1.0])  # Var is the polynomial t
-    elif isinstance(f, (sf.Sum, sf.Product)):
-        parts = [_coeffs(g) for g in f._children()]
-        if any(c is None for c in parts):
-            return None
-        c = reduce(npoly.polyadd if isinstance(f, sf.Sum) else npoly.polymul, parts)
-    elif isinstance(f, sf.Power) and f.expo in range(2, _MAX_DEGREE + 1) \
-            and (f.lo, f.hi) == (-math.inf, math.inf):
-        c = _coeffs(f.base)
-        if c is None:
-            return None
-        c = npoly.polypow(c, int(f.expo), _MAX_DEGREE)
-    else:
-        return None
-    c = np.array(c, dtype=float)
-    return c if len(c) <= _MAX_DEGREE + 1 and np.isfinite(c).all() else None
+_PANELS = 16  # panels of check_profile's first level
 
 
 def check_profile(f: ScalarFn, lo, hi, positive: bool, where: str) -> None:
     """Raise InvalidParameters, its message starting with `where`, if profile f
-    has a zero (or, when `positive`, a negative value) on the closed span
-    between lo and hi: a polynomial is tested at the span ends and its real
-    roots, any other tree at 65 samples, where a DomainError or a value
-    beyond the double range also counts."""
+    has a zero (or, when `positive`, a negative value), a value beyond the
+    double range or a DomainError on the closed span between lo and hi.
+
+    One loop checks every tree (Boyd, Appl. Numer. Math. 56, 2006).  After the
+    span ends, each level evaluates f in one array call at the 21 Gauss-Legendre
+    nodes of each open panel, _PANELS at first.  A panel whose interpolant has
+    Chebyshev coefficients with |c_0| > sum_{k>=1} |c_k| plus a margin for tail
+    and rounding has no zero, as |T_k| <= 1; any other is halved.  The first
+    point not finite or not of f(lo)'s sign is bisected to adjacent floats
+    against the ok point before it, or after it if f is exactly 0 there
+    (rounding spreads a touching zero into a band of zeros).  A panel open at
+    the width floor is a zero at its node of least |f|."""
     lo, hi = sorted((float(lo), float(hi)))
     where = f"{where} = {sf.to_text(f)} on [{lo:.12g}, {hi:.12g}]"
-    c = _coeffs(f)
-    ts = np.linspace(lo, hi, 65) if c is None else np.sort(
-        [lo, hi, *(x.real for x in npoly.polyroots(c) if lo <= x.real <= hi)])
+    half = np.full(_PANELS, (0.5 * hi - 0.5 * lo) / _PANELS)
+    mid = 0.5 * lo + 0.5 * hi + half * np.arange(1 - _PANELS, _PANELS, 2)
+    ts, floor = np.array([lo, hi]), ()  # the span ends first; no panel at the floor yet
+    values = lambda x: np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     with np.errstate(all="ignore"):
         try:
-            vals = np.broadcast_to(f(ts), ts.shape)
+            vals = values(ts)
+            first, sign = vals[0], np.sign(vals[0])
+            ok = lambda v: np.isfinite(v) & (v * sign > 0.0)
+            while True:
+                bad = ~ok(vals.ravel())
+                if bad.any():
+                    i = int(bad.argmax())
+                    b, v, j = ts.flat[i], vals.flat[i], i + int(bad[i:].argmin())  # j: next ok
+                    a = ts.flat[j] if v == 0.0 and j > i else ts.flat[i - 1] if i else lo
+                    while min(a, b) < (m := 0.5 * a + 0.5 * b) < max(a, b):  # ok(f(a)), not f(b)
+                        fm = values(np.array([m]))[0]
+                        a, b, v = (m, b, v) if ok(fm) else (a, m, fm)
+                    what = "vanishes" if np.isfinite(v) else "is not finite"
+                    raise InvalidParameters(f"{where}: {what} at t = {b + 0.0:.12g}")
+                if np.any(floor):
+                    d, t = min(zip(np.abs(vals[floor][0]), ts[floor][0]))  # its node of least |f|
+                    raise InvalidParameters(f"{where}: vanishes at t = {t:.12g} to within {d:.3g}")
+                if not mid.size:
+                    break
+                ts = mid[:, None] + half[:, None] * sf._GL_HIGH_X
+                vals = values(ts)
+                c = np.abs(vals @ sf._CHEB.T)  # the last two c_k stand in for the tail
+                live = c[:, 0] <= (c[:, 1:].sum(1) + 4.0 * c[:, -2:].sum(1)
+                                   + 64.0 * sys.float_info.epsilon * c.sum(1))
+                floor = live & (half < 0.5 * sf._MIN_WIDTH * np.maximum(1.0, np.abs(mid)))
+                half = np.repeat(0.5 * half[live], 2)
+                mid = np.repeat(mid[live], 2) + half * np.tile([-1.0, 1.0], live.sum())
         except DomainError as e:
             raise InvalidParameters(f"{where}: {e}") from e
-        tol = 0.0 if c is None else 1e-12 * npoly.polyval(np.abs(ts), np.abs(c))
-    huge = ~(np.isfinite(vals) & np.isfinite(tol))
-    if huge.any():
-        raise InvalidParameters(f"{where}: is not finite at t = {ts[huge.argmax()] + 0.0:.12g}")
-    bad = (np.abs(vals) <= tol) | (np.sign(vals) != np.sign(vals[0]))
-    if bad.any():
-        at = "at or before" if c is None else "at"
-        raise InvalidParameters(f"{where}: vanishes {at} t = {ts[bad.argmax()] + 0.0:.12g}")
-    if positive and vals[0] < 0.0:
-        raise InvalidParameters(
-            f"{where}: must be positive, is {vals[0]:.12g} at t = {lo:.12g}")
+    if positive and first < 0.0:
+        raise InvalidParameters(f"{where}: must be positive, is {first:.12g} at t = {lo:.12g}")
 
 
 class _CentralFamily:

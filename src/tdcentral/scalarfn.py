@@ -298,10 +298,10 @@ def _panel(f: ScalarFn, a: float, b: float):
     return val, abs(val - h * float(_GL_LOW_W @ lo)), hi
 
 
-# 21 Gauss-Legendre node values -> Chebyshev coefficients (on [-1, 1]) of the
-# antiderivative of their degree-20 interpolant, vanishing at -1
-_CUMSUM = np.polynomial.chebyshev.chebint(
-    np.linalg.inv(np.polynomial.chebyshev.chebvander(_GL_HIGH_X, 20)), lbnd=-1)
+# 21 Gauss-Legendre node values -> Chebyshev coefficients (on [-1, 1]) of
+# their degree-20 interpolant, and of its antiderivative vanishing at -1
+_CHEB = np.linalg.inv(np.polynomial.chebyshev.chebvander(_GL_HIGH_X, 20))
+_CUMSUM = np.polynomial.chebyshev.chebint(_CHEB, lbnd=-1)
 _FIRST_WIDTH = 0.25     # width of the first panel on each side of t0
 _MIN_WIDTH = 1e-12      # width floor, relative to max(1, |panel edge|)
 

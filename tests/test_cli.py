@@ -392,16 +392,49 @@ class TestRunSpan:
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     def test_profile_beyond_double_range(self, tmp_path, capsys):
-        # g2 = 1 + 0.1 t^2 overflows at t = 1e300 before any residual is taken
+        # g2 = 1 + 0.1 t^2 overflows from t = 4.24e154 on, before any residual is taken
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             rc, err = self.run(tmp_path, capsys, ["verify", "--suite", "pde"],
                                {"family": {"preset": "linear-lfi"},
                                 "plan": {"t_range": [0, 1e300], "count": 3}})
         assert rc == 2 and "config.family: linear-lfi: profile g2" in err
-        assert "on [0, 1e+300]: is not finite at t = 1e+300" in err
+        assert "on [0, 1e+300]: is not finite at t = 4.23992114887e+154" in err
         assert "Warning" not in err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+    @staticmethod
+    def _g1_run(g1, t_end, **extra):
+        return {"family": {"kind": "quadratic", "g1": g1, "g2": "0",
+                           "F": "(pow t -1 0 inf)", "L3": 0.5},
+                "initial": {"r": 1.0, "rdot": 0.0}, "t_end": t_end, **extra}
+
+    # zeros of g1 that fall between samples: a Gaussian dip to zero at
+    # t = 3.03 and the smooth double zero of (e^t - 2)^2 at ln 2
+    @pytest.mark.parametrize("g1,t_end,zero", [
+        ("(+ 1 (* -1 (exp (* -400 (pow (+ t -3.03) 2)))))", 6.0, 3.03),
+        ("(pow (+ (exp t) -2) 2)", 3.0, math.log(2.0)),
+    ], ids=["dip", "double-zero"])
+    def test_zero_between_samples_refused(self, tmp_path, capsys, g1, t_end, zero):
+        path = write_config(tmp_path, self._g1_run(g1, t_end))
+        start = time.perf_counter()
+        rc = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert "config.family: key 'g1'" in err and "vanishes at t = " in err
+        assert abs(float(err.rsplit("at t = ", 1)[1].split()[0]) - zero) < 1e-6
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("g1,t_end,extra", [
+        ("(+ 1.0001 (* -1 (exp (* -400 (pow (+ t -3.03) 2)))))", 6.0, {}),
+        # g1 dips to 1e-6 at ln 2: the invariant drifts 6.1e-5 there
+        ("(+ (pow (+ (exp t) -2) 2) 1e-6)", 3.0, {"drift_tolerance": 1e-3}),
+    ], ids=["dip", "double-zero"])
+    def test_lifted_zero_runs(self, tmp_path, capsys, g1, t_end, extra):
+        path = write_config(tmp_path, self._g1_run(g1, t_end, **extra))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_wavefunction_phase_time_unfillable(self, tmp_path, capsys):
         # phi = 1 + t is finite at 1e100, but the integral of phi^-2 out to it

@@ -49,6 +49,17 @@ class TestStates:
         traj = dyn.integrate(driven, PolarState(0.0, -1.5, 0.2), 1.0)
         assert traj.termination == "completed" and traj.r[0] == -1.5
 
+    @pytest.mark.parametrize("name", ["oscillator", "lewis-leach"])
+    @pytest.mark.parametrize("field,value", [("r", math.nan), ("r", math.inf),
+                                             ("rdot", math.nan), ("theta", math.inf),
+                                             ("t", math.nan)])
+    def test_non_finite_start_refused(self, name, field, value):
+        # refused once before the kernel runs, for the radial and the 1d
+        # system; a non-finite t before check_horizon's ValueError
+        s0 = replace(PolarState(0.0, 1.0, 0.0), **{field: value})
+        with pytest.raises(DomainError, match=f"initial {field} must be finite"):
+            dyn.integrate(pot.preset(name).family, s0, 1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=1e-15)

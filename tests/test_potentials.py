@@ -549,6 +549,15 @@ class TestCheckSpan:
         assert "vanishes at t = 1" in self.fails(FamilyA(squared), 0.0, 3.0)
         FamilyB(sf.poly(1, -2, 1)).check_span(1.5, 3.0)
 
+    def test_within_rounding_of_zero_at_span_start(self):
+        # t stays positive on [1e-30, 1], but the first panel's edge, formed
+        # at the scale of the span, rounds to the zero at t = 0: the panel
+        # reaches the width floor and is refused with how close f came to
+        # zero there; a start above the rounding of the span is resolved
+        msg = self.fails(FamilyA(sf.T), 1e-30, 1.0)
+        assert msg.endswith("vanishes at t = 2.84118385917e-15 to within 2.84e-15")
+        FamilyA(sf.T).check_span(1e-15, 1.0)
+
     def test_constant_profile(self):
         FamilyB(2.0).check_span(-5.0, 5.0)
         FamilyA(-2.0).check_span(-5.0, 5.0)  # g2 only has to be nonzero
@@ -574,20 +583,54 @@ class TestCheckSpan:
     def test_sampled_sign_change(self):
         fam = FamilyA(sf.add(sf.exp(sf.T), -2.0))  # e^t - 2 crosses zero at ln 2
         fam.check_span(1.0, 3.0)
-        assert "vanishes at or before" in self.fails(fam, 0.0, 3.0)
+        assert "vanishes at t = 0.69314718056" in self.fails(fam, 0.0, 3.0)
 
+    # the first point beyond the double range, bisected to adjacent floats
     @pytest.mark.parametrize("profile,span,where", [
-        # the value overflows at the far end: a polynomial and its tolerance
+        # 0.1 t^2 overflows from t = 4.24e154 on
         (sf.poly(1, 0, 0.1), (0.0, 1e300), "(poly 1 0 0.1) on [0, 1e+300]: "
-                                           "is not finite at t = 1e+300"),
-        # a sampled tree: t^2 overflows from the second of 65 samples on
-        (sf.sqrt(sf.poly(1, 0, 1)), (0.0, 1e300), "is not finite at t = 1.5625e+298"),
-        (sf.exp(sf.T), (0.0, 1000.0), "is not finite at t = 718.75"),
+                                           "is not finite at t = 4.23992114887e+154"),
+        # t^2 overflows from sqrt(DBL_MAX) = 1.34e154 on
+        (sf.sqrt(sf.poly(1, 0, 1)), (0.0, 1e300), "is not finite at t = 1.34078079299e+154"),
+        (sf.exp(sf.T), (0.0, 1000.0), "is not finite at t = 709.782712893"),  # ln DBL_MAX
     ])
     def test_value_beyond_double_range(self, profile, span, where):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert where in self.fails(FamilyA(profile), *span)
+
+
+# a zero placed at z: (profile, tolerance of the located t relative to
+# max(1, |z|), unit of the lift off a double zero); rounding flattens a double
+# zero into a band of zeros, so it is located less closely than a simple one
+_PLACED = {
+    "poly": (lambda z: sf.poly(-z, 1.0), 1e-9, None),
+    "poly-double": (lambda z: sf.poly(z * z, -2.0 * z, 1.0), 1e-6, lambda z: 1.0),
+    "exp": (lambda z: sf.add(sf.exp(sf.T), -math.exp(z)), 1e-9, None),
+    "exp-double": (lambda z: sf.power(sf.add(sf.exp(sf.T), -math.exp(z)), 2), 1e-6,
+                   lambda z: math.exp(2.0 * z)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_PLACED)), m=st.integers(-1280, 1280),
+       left=st.floats(1e-3, 10.0), right=st.floats(1e-3, 10.0), k=st.integers(-20, 20),
+       lift=st.floats(1e-6, 1.0))
+def test_check_profile_locates_a_placed_zero(kind, m, left, right, k, lift):
+    profile, tol, unit = _PLACED[kind]
+    # z on a grid where z^2 and 2z are exact, so the zero of a polynomial is
+    # too; that of e^t - e^z lies within an ulp of z, inside the span
+    z = m / 64.0
+    lo, hi, scale = z - left, z + right, math.ldexp(1.0, k)
+    with pytest.raises(InvalidParameters, match="vanishes at t = ") as info:
+        pot.check_profile(sf.mul(scale, profile(z)), lo, hi, False, "f")
+    at = float(str(info.value).rsplit("at t = ", 1)[1].split()[0])
+    assert abs(at - z) <= tol * max(1.0, abs(z))
+    if unit is None:  # a simple zero moved beyond the span passes
+        pot.check_profile(sf.mul(scale, profile(hi + lift * max(1.0, abs(hi)))), lo, hi,
+                          False, "f")
+    else:  # a double zero lifted off the axis passes
+        pot.check_profile(sf.mul(scale, sf.add(profile(z), lift * unit(z))), lo, hi, True, "f")
 
 
 class TestLewisLeach1d:
