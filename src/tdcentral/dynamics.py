@@ -133,7 +133,6 @@ class Trajectory:
     theta: np.ndarray
     h_accepted: np.ndarray
     termination: str = "completed"
-    label: str = ""
     stats: IntegratorStats | None = None
 
     def __len__(self):
@@ -452,7 +451,7 @@ def integrate(fam, s0: PolarState, t_end: float, cfg: IntegratorConfig | None = 
     grid = _sample_grid(s0.t, t_end, cfg.stride)
     (ts, hs, r, rdot, theta), term, stats = _polar_kernel(
         fam.dU_dr, fam.L3, fam.radial, s0.t, (s0.r, s0.rdot, s0.theta), t_end, cfg, grid)
-    return Trajectory(ts, r, rdot, theta, hs, termination=term, label=fam.label, stats=stats)
+    return Trajectory(ts, r, rdot, theta, hs, termination=term, stats=stats)
 
 
 def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
@@ -487,7 +486,7 @@ def cartesian_crosscheck(fam, s0: PolarState, t_end: float,
     rdot = (x * vx + yy * vy) / r
     theta = np.unwrap(np.arctan2(yy, x))
     theta += s0.theta - theta[0]
-    cart = Trajectory(ts, r, rdot, theta, hs, termination=term, label=fam.label, stats=stats)
+    cart = Trajectory(ts, r, rdot, theta, hs, termination=term, stats=stats)
 
     m = min(len(ref), len(cart))
     xr = ref.r[:m] * np.cos(ref.theta[:m])

@@ -864,6 +864,16 @@ class TestOrbit:
         entry = json.loads(capsys.readouterr().out)["orbit-s"]
         assert entry["max_residual"] is None and entry["pass"] is False
 
+    def test_incomplete_run_fails(self, tmp_path, capsys):
+        # radial free fall collapses at t = 1.11, short of t_end: the angle
+        # is never checked out to t_end, so the case fails with no residual
+        path = write_config(tmp_path, {"orbit": {"cases": [self.case(
+            name="plunge", L3=0.0, t_end=3.0, initial={"t": 0.0, "r": 1.0, "rdot": 0.0})]}})
+        assert main(["verify", "--suite", "orbit", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        entry = json.loads(out)["orbit-plunge"]
+        assert err == "" and entry["max_residual"] is None and entry["pass"] is False
+
     def test_subcommand_removed(self, capsys):
         # `verify --suite orbit` is the one way to run the orbit cases
         assert main(["orbit"]) == 2
@@ -934,6 +944,173 @@ class TestBinary:
         assert main(["binary"]) == 0
         assert len(runs) == 1
         capsys.readouterr()
+
+
+def _start(family, **extra):
+    return {"family": family, "initial": {"t": 0.0, "r": 1.0, "rdot": 0.0}, "t_end": 2.0,
+            **extra}
+
+
+_OSC = {"preset": "oscillator"}
+_GRID = {"r": [0.5, 2.0, 3], "theta": [0.0, 1.0, 2], "t": [0.0, 2.0, 3]}
+
+
+def _orbit(**case):
+    return {"orbit": {"cases": [{"phi": "1", "t_end": 1.5,
+                                 "initial": {"t": 0.0, "r": 1.2, "rdot": 0.2}, **case}]}}
+
+
+# id -> (argv, config object or JSON text (None: no --config, _NO_FILE: a
+# path with no file), exit code, stderr line after "config error: " when the
+# code is 2); "{path}" in a message stands for the config path
+_NO_FILE = "no file"
+_MESSAGES = {
+    "unknown-preset": (["simulate"], _start({"preset": "nope"}), 2,
+                       "config.family: key 'preset': unknown preset 'nope'"),
+    "unknown-kind": (["simulate"], _start({"kind": "cubic"}), 2,
+                     "config.family: key 'kind': unknown kind 'cubic'"),
+    "unreadable": (["simulate"], _NO_FILE, 2,
+                   "cannot read config '{path}': [Errno 2] No such file or directory: '{path}'"),
+    "json-array": (["simulate"], [1], 2, "config '{path}' must be a JSON object"),
+    "invalid-json": (["simulate"], "{", 2, "config '{path}' is not valid JSON: Expecting "
+                     "property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "family-list-simulate": (["simulate"], _start([1]), 2,
+                             "config: key 'family' has the wrong type"),
+    "family-list-pde": (["verify", "--suite", "pde"], {"family": [1]}, 2,
+                        "config.family: must be an object"),
+    "initial-list": (["simulate"], {**_start(_OSC), "initial": [1]}, 2,
+                     "config: key 'initial' has the wrong type"),
+    "orbit-initial-list": (["verify", "--suite", "orbit"], _orbit(initial=3), 2,
+                           "config.orbit.cases[0].initial: must be an object"),
+    "ermakov-initial-list": (["verify", "--suite", "ermakov"], {"ermakov": {"initial": "x"}},
+                             2, "config.ermakov.initial: must be an object"),
+    "integrator-list": (["simulate"], _start(_OSC, integrator=[1]), 2,
+                        "config.integrator: must be an object"),
+    "plan-list": (["verify", "--suite", "pde"], {"plan": [1]}, 2,
+                  "config.plan: must be an object"),
+    "rtol": (["simulate"], _start(_OSC, integrator={"rtol": 1e-15}), 2,
+             "config.integrator: rtol below 1e-14 is not resolvable at double precision"),
+    "ermakov-kind": (["verify", "--suite", "ermakov"],
+                     {"ermakov": {"system": {"kind": "quadratic", "g1": "1"}}}, 2,
+                     "config.ermakov.system: must have kind 'driven-1d' and no key 'perturb'"),
+    "wavefunction-no-config": (["wavefunction"], None, 2, "wavefunction requires --config"),
+    "wavefunction-no-out": (["wavefunction"], {"a": 1.0, "b": 1, "grid": _GRID}, 2,
+                            "wavefunction requires --out"),
+    "binary-b": (["binary"], {"b": [1.0, 0.0]}, 2, "config: key 'b' must be [b0, b1, b2]"),
+    "grid-axis": (["wavefunction"], {"a": 1.0, "b": 1, "grid": {**_GRID, "r": [0.5, 2.0]}}, 2,
+                  "config.grid: key 'r' must be [lo, hi, count]"),
+    "radial-mode-string": (["verify", "--suite", "radial-mode"],
+                           {"radial-mode": {"a_values": [1.0, "x"]}}, 2,
+                           "config.radial-mode: key 'a_values' must be a list of numbers"),
+    "orbit-k0": (["verify", "--suite", "orbit"], _orbit(k=0), 2,
+                 "config.orbit.cases[0]: key 'k' must be nonzero"),
+    # the keys each section reads, with their kinds and defaults
+    "initial-missing": (["simulate"], {**_start(_OSC), "initial": {"rdot": 0.0}}, 2,
+                        "config.initial: missing required key 'r'"),
+    "initial-unknown": (["simulate"], {**_start(_OSC), "initial": {"r": 1.0, "rdot": 0.0,
+                                                                    "q": 1}}, 2,
+                        "config.initial: unknown key 'q'"),
+    "initial-type": (["simulate"], {**_start(_OSC), "initial": {"r": "1", "rdot": 0.0}}, 2,
+                     "config.initial: key 'r' has the wrong type"),
+    "integrator-int": (["simulate"], _start(_OSC, integrator={"max_steps": 2.5}), 2,
+                       "config.integrator: key 'max_steps' has the wrong type"),
+    "integrator-unknown": (["simulate"], _start(_OSC, integrator={"rtoll": 1e-8}), 2,
+                           "config.integrator: unknown key 'rtoll'"),
+    "integrator-negative": (["simulate"], _start(_OSC, integrator={"h_init": -1.0}), 2,
+                            "config.integrator: h_init must be positive"),
+    "horizon": (["simulate"], {**_start(_OSC), "t_end": 0.0}, 2,
+                "config: key 't_end', config.initial: key 't', config.integrator: key "
+                "'stride': t_end must differ from the initial time"),
+    "plan-count": (["verify", "--suite", "pde"], {"plan": {"count": 0}}, 2,
+                   f"config.plan: key 'count' must be in [1, {MAX_SAMPLES}]"),
+    "plan-seed": (["verify", "--suite", "pde"], {"plan": {"seed": -3}}, 2,
+                  "config.plan: key 'seed' must be non-negative"),
+    "plan-pair": (["verify", "--suite", "pde"], {"plan": {"t_range": [0, 1, 2]}}, 2,
+                  "config.plan: key 't_range' must be [lo, hi]"),
+    "plan-order": (["verify", "--suite", "pde"], {"plan": {"t_range": [1, 0]}}, 2,
+                   "config.plan: t_range must be ordered"),
+    "plan-unknown": (["verify", "--suite", "pde"], {"plan": {"counts": 3}}, 2,
+                     "config.plan: unknown key 'counts'"),
+    "sweep-fill": (["verify", "--suite", "pde"],
+                   {"family": {"kind": "quadratic", "g1": "(poly 1 0 0.25)", "g2": "1",
+                               "t0": 4.017345110647476e+59}}, 2,
+                   "config.plan: key 't_range', config.family: keys 'g1', 'g2', 't0': "
+                   "antiderivative from t0=4.017345110647476e+59 needs more than 200 panels "
+                   "to pass 4.460149039706125e+43"),
+    "kind-missing": (["simulate"], _start({"kind": "quadratic"}), 2,
+                     "config.family: missing required key 'g1'"),
+    "kind-parse": (["simulate"], _start({"kind": "quadratic", "g1": "(poly"}), 2,
+                   "config.family: key 'g1': missing ')'"),
+    "kind-type": (["simulate"], _start({"kind": "linear", "g2": "1", "L3": "x"}), 2,
+                  "config.family: key 'L3' has the wrong type"),
+    "kind-label": (["simulate"], _start({"kind": "linear", "g2": "1", "label": "x"}), 2,
+                   "config.family: unknown key 'label'"),
+    "kind-zero": (["simulate"], _start({"kind": "quadratic", "g1": "(poly 1 -1)"}), 2,
+                  "config.family: key 'g1': family-b: profile g1 = (poly 1 -1) on [0, 2]: "
+                  "vanishes at t = 1"),
+    "driven-missing": (["verify", "--suite", "ermakov"],
+                       {"ermakov": {"system": {"kind": "driven-1d"}}}, 2,
+                       "config.ermakov.system: missing required key 'rho'"),
+    "rescaling-phi": (["verify", "--suite", "rescaling"],
+                      {"rescaling": {"cases": [{"phi": "(poly 1 -1)", "shape": "(pow t 2)"}]}},
+                      2, "config.rescaling.cases[0]: key 'phi': scale profile phi = "
+                      "(poly 1 -1) on [0, 2]: vanishes at t = 1"),
+    "radial-mode-b": (["verify", "--suite", "radial-mode"],
+                      {"radial-mode": {"b_values": [0.5]}}, 2,
+                      "config.radial-mode: key 'b_values': node count b must be an integer "
+                      "in [0, 1000]"),
+    "wavefunction-missing": (["wavefunction"], {"b": 1, "grid": _GRID}, 2,
+                             "config: missing required key 'a'"),
+    "wavefunction-type": (["wavefunction"], {"a": 1.0, "b": 1.5, "grid": _GRID}, 2,
+                          "config: key 'b' has the wrong type"),
+    "wavefunction-invalid": (["wavefunction"], {"a": -2.0, "b": 1, "grid": _GRID}, 2,
+                             "config: order parameter a must exceed -1"),
+    "wavefunction-label": (["wavefunction"], {"a": 1.0, "b": 1, "grid": _GRID, "label": "x"},
+                           2, "config: unknown key 'label'"),
+    "wavefunction-parse": (["wavefunction"], {"a": 1.0, "b": 1, "phi": "(pow", "grid": _GRID},
+                           2, "config: key 'phi': missing ')'"),
+    "wavefunction-m": (["wavefunction"], {"a": 1.0, "b": 1, "L3": 1e300, "hbar": 1e-300,
+                                          "grid": _GRID}, 2,
+                       "config: keys 'a', 'L3', 'hbar': the angular index m is not finite"),
+    "wavefunction-zero": (["wavefunction"], {"a": 1.0, "b": 1, "phi": "(poly 1 -1)",
+                                             "grid": _GRID}, 2,
+                          "config: key 'phi': profile phi = (poly 1 -1) on [0, 2]: vanishes "
+                          "at t = 1, the span of config: key 't0' and config.grid: key 't'"),
+    "wavefunction-phase": (["wavefunction"], {"a": 1.0, "b": 1, "phi": "(poly 1 1)",
+                                              "grid": {**_GRID, "t": [0.0, 1e100, 2]}}, 2,
+                           "config: key 'phi': antiderivative from t0=0.0 needs more than 200 "
+                           "panels to pass 4.017345110647476e+59, the span of config: key "
+                           "'t0' and config.grid: key 't'"),
+    "binary-mass": (["binary"], {"b": [0.0, 0.0, 0.0]}, 2,
+                    "config: key 'b': mass law b0 + b1 t + b2 t^2 = 0 on [0, 62.8318530718]: "
+                    "vanishes at t = 0"),
+    # runs that start and then stop
+    "step-budget": (["simulate"], {"family": _OSC, "initial": {"t": 0.0, "r": 1.0, "rdot": 0.0},
+                                   "t_end": 10.0, "integrator": {"max_steps": 25}}, 1,
+                    "run failed: no convergence within 25 step attempts at t=0.7691174702730531"),
+    "domain-floor": (["simulate"], _start({"kind": "quadratic", "g1": "1e-200", "g2": "1",
+                                           "F": "(pow t 2)"}, t_end=1), 1,
+                     "run failed: radius must be positive"),
+    # phi/r turns at the first sample (rdot = 0), before the plunge to r = 0
+    "turning-point": (["verify", "--suite", "orbit"],
+                      _orbit(k=1.0, L3=1.0, initial={"t": 0.0, "r": 1.0, "rdot": 0.0}), 1,
+                      "verification failed: turning point of phi/r falls on a sample; perturb "
+                      "the stride"),
+}
+
+
+@pytest.mark.parametrize("argv,cfg,code,message", list(_MESSAGES.values()),
+                         ids=list(_MESSAGES))
+def test_message(tmp_path, capsys, argv, cfg, code, message):
+    """Each failure prints exactly one line on stderr and nothing on stdout."""
+    path = tmp_path / "cfg.json"
+    if cfg not in (None, _NO_FILE):
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
+    config = [] if cfg is None else ["--config", str(path)]
+    out = [] if message == "wavefunction requires --out" else ["--out", str(tmp_path / "o")]
+    assert main([*argv, *config, *out]) == code
+    prefix = "config error: " if code == 2 else ""
+    assert capsys.readouterr() == ("", prefix + message.format(path=path) + "\n")
 
 
 # -- property: any one changed key exits 0, 1 or 2, never a traceback ------
