@@ -28,9 +28,8 @@ from . import potentials as pot
 from . import quantum as qm
 from . import scalarfn as sf
 from . import verify as vf
-from .errors import (BranchAmbiguity, ConfigError, DomainError,
-                     InvalidParameters, ParseError, StepLimitExceeded,
-                     ToleranceNotMet)
+from .errors import (ConfigError, DomainError, InvalidParameters, ParseError,
+                     StepLimitExceeded, ToleranceNotMet)
 
 __all__ = ["main", "build_parser"]
 
@@ -210,10 +209,12 @@ def _state_from(node, where: str = "config.initial") -> dyn.PolarState:
 
 
 def _start(fam, s0: dyn.PolarState, where: str) -> None:
-    """Refuse, naming key 'r', a start that a radial family refuses: r <= 0;
-    the coordinate of a one-dimensional system takes either sign."""
+    """Refuse, naming its keys, a start the family refuses: r <= 0 of a radial
+    family (a 1d coordinate takes either sign), or outside its force's domain."""
     if fam.radial and s0.r <= 0.0:
         raise ConfigError(f"{where}: key 'r' must be positive")
+    with _keyed(f"{where}: keys 't', 'r': ", DomainError):
+        fam.dU_dr(s0.t, s0.r)
 
 
 def _horizon(t0: float, t_end: float, icfg, keys: str) -> None:
@@ -374,6 +375,7 @@ def _suite_ermakov(cfg, seed):
     fam = _family_from(spec["system"], (s0.t, t_end), where + ".system")
     if not isinstance(fam, pot.LewisLeach1d):
         raise ConfigError(f"{where}.system: must have kind 'driven-1d' and no key 'perturb'")
+    _start(fam, s0, where + ".initial")
     return vf.lewis_leach_report(fam, s0, t_end)
 
 
@@ -650,9 +652,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except BranchAmbiguity as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
     except (DomainError, ToleranceNotMet, StepLimitExceeded) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1

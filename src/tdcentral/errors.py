@@ -25,9 +25,5 @@ class InvalidParameters(ValueError):
     """Preset or model parameters violate a validity constraint."""
 
 
-class BranchAmbiguity(RuntimeError):
-    """Orbit reconstruction could not assign a sample to a monotone branch."""
-
-
 class ConfigError(ValueError):
     """Bad or missing key in a run configuration."""

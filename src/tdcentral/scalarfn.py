@@ -125,10 +125,13 @@ class ScalarFn:
     __hash__ = None
 
     def __repr__(self):
-        return to_text(self)
+        try:
+            return to_text(self)
+        except TypeError:  # a tree holding a node with no head prints by class name
+            return type(self).__name__
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(ScalarFn):
     value: float
 
@@ -146,7 +149,7 @@ class Const(ScalarFn):
         return fn
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(ScalarFn):
     """The identity map t -> t."""
 
@@ -154,7 +157,7 @@ class Var(ScalarFn):
         return Const(1.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Poly(ScalarFn):
     """c0 + c1 t + c2 t^2 + ... evaluated by Horner's rule."""
 
@@ -168,7 +171,7 @@ class Poly(ScalarFn):
         return (self.coeffs,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(ScalarFn):
     terms: tuple
 
@@ -179,7 +182,7 @@ class Sum(ScalarFn):
         return self.terms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(ScalarFn):
     factors: tuple
 
@@ -201,7 +204,7 @@ _NON_POSITIVE_BASE = "non-positive base under exponent {f.expo} in {f!r}"
 _ZERO_BASE = "zero base under exponent {f.expo} in {f!r}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Quotient(ScalarFn):
     """num/den with an optional open interval constraint on the *argument*."""
 
@@ -222,7 +225,7 @@ class Quotient(ScalarFn):
         return (self.num, self.den)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Power(ScalarFn):
     """base(t)**expo for a fixed real expo, optional interval on the argument.
 
@@ -247,7 +250,7 @@ class Power(ScalarFn):
         return (self.base,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exp(ScalarFn):
     arg: ScalarFn
 
@@ -258,7 +261,7 @@ class Exp(ScalarFn):
         return (self.arg,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(ScalarFn):
     """outer(inner(t)). Domain checks of outer apply to inner's value."""
 
@@ -438,7 +441,7 @@ class _PanelTable:
                          (t - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Antiderivative(ScalarFn):
     """t -> integral of `integrand` from t0 to t.
 

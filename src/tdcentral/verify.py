@@ -34,7 +34,6 @@ from scipy.integrate import cumulative_simpson
 
 from . import dynamics as dyn
 from . import scalarfn as sf
-from .errors import BranchAmbiguity
 from .potentials import FamilyA, FamilyB, LewisLeach1d, _CentralFamily, \
     check_profile, ermakov_residuals
 from .scalarfn import as_fn
@@ -262,10 +261,10 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
         theta = sigma (L3/k) sqrt(2 (I + k phi/r)) + theta0
 
     I is the quadratic invariant of that potential evaluated at the first
-    sample.  The branch sign sigma flips at turning points of phi/r, so it
-    and theta0 are fitted per monotone branch.  A turning point landing on
-    a sample (in particular, a circular orbit, where every sample is one)
-    leaves sigma undetermined there and raises BranchAmbiguity.
+    sample.  The branch sign sigma, the sign of B = phi rdot - phi' r, flips at
+    turning points of phi/r, so it and theta0 are fitted per monotone branch.
+    A sample where B is 0 to rounding is a turning point, where the amplitude
+    (L3/k)|B| is 0 for either sigma: it ends one branch and starts the next.
     """
     phi = as_fn(phi)
     pv = np.broadcast_to(np.asarray(phi(traj.t), dtype=float), traj.t.shape)
@@ -274,15 +273,17 @@ def orbit_angle_check(phi, k: float, L3: float, traj: dyn.Trajectory) -> float:
     I0 = 0.5 * B[0] ** 2 - k * pv[0] / traj.r[0]
     if L3 == 0.0:
         return float(np.max(np.abs(traj.theta - traj.theta[0])))
-    scale = max(1.0, float(np.max(np.abs(B))))
-    if np.any(np.abs(B) <= 1e-12 * scale):
-        raise BranchAmbiguity(
-            "turning point of phi/r falls on a sample; perturb the stride")
     amp = (L3 / k) * np.sqrt(np.maximum(2.0 * (I0 + k * pv / traj.r), 0.0))
+    turns = np.flatnonzero(np.abs(B) <= 1e-12 * max(1.0, float(np.max(np.abs(B)))))
     sgn = np.sign(B)
-    cuts = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1  # a nan sign is a branch of its own
+    sgn[turns] = 0.0
+    # cut at each change of sign; both products beside a nan sign fail >= 0: it stands alone
+    cuts = np.flatnonzero(~(sgn[1:] * sgn[:-1] >= 0.0))
+    starts = np.sort(np.concatenate(([0], cuts + 1, turns)))
+    stops = np.sort(np.concatenate((cuts + 1, turns + 1, [len(B)])))
     worst = [0.0]  # the better sigma's deviation per branch; numpy keeps a nan
-    for th, a in zip(np.split(traj.theta, cuts), np.split(amp, cuts)):
+    for lo, hi in zip(starts, stops):
+        th, a = traj.theta[lo:hi], amp[lo:hi]
         if len(th) > 1:
             worst.append(np.min([np.max(np.abs(sigma * a + (th[0] - sigma * a[0]) - th))
                                  for sigma in (1.0, -1.0)]))

@@ -874,6 +874,19 @@ class TestOrbit:
         entry = json.loads(out)["orbit-plunge"]
         assert err == "" and entry["max_residual"] is None and entry["pass"] is False
 
+    def test_rest_start_passes(self, tmp_path, capsys):
+        # rdot = 0 with phi' = 0: phi/r turns at sample 0, where either branch
+        # sign fits; the residual is that of a start at rdot = 1e-9
+        worst = []
+        for rdot in (0.0, 1e-9):
+            path = write_config(tmp_path, {"orbit": {"cases": [self.case(
+                name="rest", t_end=1.0, initial={"t": 0.0, "r": 1.2, "rdot": rdot})]}})
+            assert main(["verify", "--suite", "orbit", "--config", path]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            worst.append(json.loads(out)["orbit-rest"]["max_residual"])
+        assert abs(worst[0] - worst[1]) <= 1e-12
+
     def test_subcommand_removed(self, capsys):
         # `verify --suite orbit` is the one way to run the orbit cases
         assert main(["orbit"]) == 2
@@ -1091,26 +1104,44 @@ _MESSAGES = {
     "domain-floor": (["simulate"], _start({"kind": "quadratic", "g1": "1e-200", "g2": "1",
                                            "F": "(pow t 2)"}, t_end=1), 1,
                      "run failed: radius must be positive"),
-    # phi/r turns at the first sample (rdot = 0), before the plunge to r = 0
+    # phi/r turns at the first sample (rdot = 0), which starts a branch; the
+    # run plunges to r = 0 short of t_end, so the case fails silently
     "turning-point": (["verify", "--suite", "orbit"],
                       _orbit(k=1.0, L3=1.0, initial={"t": 0.0, "r": 1.0, "rdot": 0.0}), 1,
-                      "verification failed: turning point of phi/r falls on a sample; perturb "
-                      "the stride"),
+                      None),
+    # a start outside the domain of the family's force
+    "start-domain": (["simulate"], {"family": {"preset": "lewis-leach"},
+                                    "initial": {"r": -1.0, "rdot": 0.5}, "t_end": 3.0}, 2,
+                     "config.initial: keys 't', 'r': argument outside (0.0, inf) for "
+                     "(pow t -3 0 inf)"),
+    "ermakov-start-domain": (["verify", "--suite", "ermakov"],
+                             {"ermakov": {"system": {"kind": "driven-1d",
+                                                     "rho": "(sqrt (poly 1 0 1))",
+                                                     "G": "(* 0.5 (pow t -2 0 inf))", "k": 1.0},
+                                          "initial": {"t": 0.0, "r": -1.5, "rdot": 0.2}}}, 2,
+                             "config.ermakov.initial: keys 't', 'r': argument outside (0.0, "
+                             "inf) for (pow t -3 0 inf)"),
 }
 
 
 @pytest.mark.parametrize("argv,cfg,code,message", list(_MESSAGES.values()),
                          ids=list(_MESSAGES))
 def test_message(tmp_path, capsys, argv, cfg, code, message):
-    """Each failure prints exactly one line on stderr and nothing on stdout."""
+    """Each failure prints exactly one line on stderr and nothing on stdout;
+    a failed check (message None) prints its report and nothing on stderr."""
     path = tmp_path / "cfg.json"
     if cfg not in (None, _NO_FILE):
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
     config = [] if cfg is None else ["--config", str(path)]
     out = [] if message == "wavefunction requires --out" else ["--out", str(tmp_path / "o")]
     assert main([*argv, *config, *out]) == code
-    prefix = "config error: " if code == 2 else ""
-    assert capsys.readouterr() == ("", prefix + message.format(path=path) + "\n")
+    stdout, stderr = capsys.readouterr()
+    if message is None:
+        assert stderr == ""
+        assert not all(entry["pass"] for entry in json.loads(stdout).values())
+    else:
+        prefix = "config error: " if code == 2 else ""
+        assert (stdout, stderr) == ("", prefix + message.format(path=path) + "\n")
 
 
 # -- property: any one changed key exits 0, 1 or 2, never a traceback ------
@@ -1275,7 +1306,7 @@ def assert_exit_contract(argv, cfg, where, key, refused=None):
     assert rc in (0, 1, 2) and "Traceback" not in err
     assert refused is None or rc == 2, err
     if rc == 1:  # a failed check says nothing; a run that stopped says why
-        assert err == "" or err.startswith(("run failed: ", "verification failed: ")), err
+        assert err == "" or err.startswith("run failed: "), err
     if rc == 2:  # only the changed key can be at fault, and the message names it
         assert any(k is not None and _names(err, where, k) for k in (key, refused)), err
 

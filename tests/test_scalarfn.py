@@ -408,6 +408,29 @@ class TestTextForm:
         g = sf.parse(sf.to_text(f))
         assert g(0.0) == c
 
+    @pytest.mark.parametrize("text", ["t", "(poly 1 0 1)", "(pow t -3 0 inf)",
+                                      "(integral (/ 1 (poly 1 0 1)) 0)",
+                                      "(+ (exp (* 2 t)) (compose (pow t 0.5) (poly 1 1)))"])
+    def test_repr_is_the_text(self, text):
+        assert repr(sf.parse(text)) == sf.to_text(sf.parse(text)) == text
+
+    def test_domain_error_prints_the_text(self):
+        with pytest.raises(DomainError) as e:
+            sf.parse("(pow t -3 0 inf)")(-1.0)
+        assert str(e.value) == "argument outside (0.0, inf) for (pow t -3 0 inf)"
+
+    def test_tree_with_an_unknown_node_prints_its_class(self):
+        # to_text refuses a ScalarFn subclass with no head; repr names the
+        # tree's class, so the DomainError it formats is still raised
+        zero = CountingFn(sf.const(0.0))
+        f = sf.Quotient(sf.const(1.0), zero)
+        with pytest.raises(TypeError, match="unknown node type CountingFn"):
+            sf.to_text(f)
+        for t in (1.0, np.array([1.0])):
+            with pytest.raises(DomainError) as e:
+                f(t)
+            assert str(e.value) == "zero denominator in Quotient"
+
 
 # random trees for the round-trip property: atoms and a few combinator layers
 _atoms = st.sampled_from([

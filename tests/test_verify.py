@@ -1,5 +1,6 @@
 """Residual suites, closed-form reconstructions, and their negative controls."""
 
+import functools
 import json
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from tdcentral import dynamics as dyn
 from tdcentral import integrals as fi
 from tdcentral import potentials as pot
 from tdcentral import verify as vf
-from tdcentral.errors import BranchAmbiguity, InvalidParameters
+from tdcentral.errors import InvalidParameters
 from tdcentral.potentials import FamilyA, FamilyB, LewisLeach1d
 from test_acceptance import _families as acceptance_families
 
@@ -272,12 +273,19 @@ class TestOrbitAngleCheck:
         assert traj.termination == "completed"
         assert vf.orbit_angle_check(phi, 1.0, 0.5, traj) <= 1e-8
 
-    def test_circular_orbit_is_ambiguous(self):
-        # the branch variable phi rdot - phi' r vanishes on every sample
+    def test_rest_start_turns_at_first_sample(self):
+        # rdot = 0 and phi' = 0: B = phi rdot - phi' r is 0 at sample 0, a
+        # turning point that starts the first branch
         fam = pot.preset("scaled-kepler", phi="1", k=1.0, L3=1.0).family
-        traj = dyn.integrate(fam, dyn.PolarState(0.0, 1.0, 0.0), 3.0)
-        with pytest.raises(BranchAmbiguity):
-            vf.orbit_angle_check("1", 1.0, 1.0, traj)
+        traj = dyn.integrate(fam, dyn.PolarState(0.0, 1.0, 0.0), 1.0)
+        assert traj.termination == "completed" and traj.rdot[0] == 0.0
+        assert vf.orbit_angle_check("1", 1.0, 1.0, traj) <= 1e-9
+
+    def test_growing_scale_rest_start(self):
+        phi = "(sqrt (poly 1 0 1))"
+        traj = growing_scale_run(0.0, 3.0)
+        assert traj.termination == "completed"
+        assert vf.orbit_angle_check(phi, 1.0, 0.5, traj) <= 1e-9
 
     def test_no_angular_momentum(self):
         fam = pot.preset("scaled-kepler", phi="1", k=1.0, L3=0.0).family
@@ -287,41 +295,81 @@ class TestOrbitAngleCheck:
     @pytest.mark.parametrize("nan_at", [[], [5], [5, 6], [0], [-1], [3, 4, 5, 40, 41]])
     @pytest.mark.parametrize("field", ["rdot", "theta"])
     def test_branches_match_sign_run_loop(self, field, nan_at):
-        # np.split at the sign changes of B gives the bits of the loop that
-        # walked its sign runs; a nan sign is a one-sample branch in both
-        phi = sf.sqrt(sf.poly(1, 0, 1))
-        fam = pot.preset("scaled-kepler", phi="(sqrt (poly 1 0 1))", k=1.0, L3=0.5).family
-        traj = dyn.integrate(fam, dyn.PolarState(0.0, 1.2, 0.2, 0.1), 6.0)
-        values = getattr(traj, field).copy()
-        values[nan_at] = np.nan
-        traj = replace(traj, **{field: values})
-        want = sign_run_orbit_check(phi, 1.0, 0.5, traj)
-        assert np.array_equal(vf.orbit_angle_check(phi, 1.0, 0.5, traj), want, equal_nan=True)
+        # the branches of B's sign runs give the bits of the loop over the
+        # samples; a nan sign is a one-sample branch in both
+        want = assert_branches_match_loop(0.2, [], field, nan_at)
         if not nan_at:
             assert want.hex() == "0x1.0b47f44000000p-28"
+
+    @pytest.mark.parametrize("nan_at", [[], [5], [0], [40], [3, 4, 5, 40, 41]])
+    @pytest.mark.parametrize("field", ["rdot", "theta"])
+    @pytest.mark.parametrize("turn_at", [[], [40], [40, 41], [-1]])
+    @pytest.mark.parametrize("rdot0", [0.2, 0.0])
+    def test_turning_points_match_sign_run_loop(self, rdot0, turn_at, field, nan_at):
+        # B = 0 at the rest start's sample 0 and where rdot is set to
+        # phi' r / phi: each such turning point ends the branch before it
+        # and starts the one after it, in both
+        assert_branches_match_loop(rdot0, turn_at, field, nan_at)
+
+
+def assert_branches_match_loop(rdot0, turn_at, field, nan_at):
+    """`orbit_angle_check` equals `sign_run_orbit_check` on the growing-scale
+    run from rdot0, with B set to 0 at `turn_at` and `field` to nan at
+    `nan_at`; returns the deviation."""
+    phi = sf.sqrt(sf.poly(1, 0, 1))
+    traj = growing_scale_run(rdot0)
+    rdot = traj.rdot.copy()
+    rdot[turn_at] = (phi.d()(traj.t) * traj.r / phi(traj.t))[turn_at]
+    traj = replace(traj, rdot=rdot)
+    values = getattr(traj, field).copy()
+    values[nan_at] = np.nan
+    traj = replace(traj, **{field: values})
+    want = sign_run_orbit_check(phi, 1.0, 0.5, traj)
+    assert np.array_equal(vf.orbit_angle_check(phi, 1.0, 0.5, traj), want, equal_nan=True)
+    return want
+
+
+@functools.cache
+def growing_scale_run(rdot0, t_end=6.0):
+    fam = pot.preset("scaled-kepler", phi="(sqrt (poly 1 0 1))", k=1.0, L3=0.5).family
+    return dyn.integrate(fam, dyn.PolarState(0.0, 1.2, rdot0, 0.1), t_end)
 
 
 @np.errstate(all="ignore")
 def sign_run_orbit_check(phi, k, L3, traj):
-    """`orbit_angle_check` (L3 != 0, no ambiguous sample) as the loop over
-    the sign runs of B that np.split replaced."""
+    """`orbit_angle_check` (L3 != 0) as a loop over the samples that grows
+    each branch while B keeps its sign: a sample where B is 0 to rounding
+    ends the branch it closes and starts the next; a nan B is a branch of
+    its own."""
     pv = np.broadcast_to(phi(traj.t), traj.t.shape)
     pd = np.broadcast_to(phi.d()(traj.t), traj.t.shape)
     B = pv * traj.rdot - pd * traj.r
     I0 = 0.5 * B[0] ** 2 - k * pv[0] / traj.r[0]
     amp = (L3 / k) * np.sqrt(np.maximum(2.0 * (I0 + k * pv / traj.r), 0.0))
-    sgn = np.sign(B)
+    tiny = 1e-12 * max(1.0, float(np.max(np.abs(B))))
     worst = [0.0]
-    start = 0
-    while start < len(B):
-        stop = start + 1
-        while stop < len(B) and sgn[stop] == sgn[start]:
-            stop += 1
-        th, a = traj.theta[start:stop], amp[start:stop]
-        if len(th) > 1:
+
+    def close(branch):
+        if len(branch) > 1:
+            th, a = traj.theta[branch[0]:branch[-1] + 1], amp[branch[0]:branch[-1] + 1]
             worst.append(np.min([np.max(np.abs(sigma * a + (th[0] - sigma * a[0]) - th))
                                  for sigma in (1.0, -1.0)]))
-        start = stop
+
+    branch, sign = [], None
+    for i, b in enumerate(B):
+        if abs(b) <= tiny:
+            close(branch + [i])
+            branch, sign = [i], None
+        elif np.isnan(b):
+            close(branch)
+            branch, sign = [], None
+        else:
+            if sign is not None and np.sign(b) != sign:
+                close(branch)
+                branch = []
+            branch.append(i)
+            sign = np.sign(b)
+    close(branch)
     return float(np.max(worst))
 
 
